@@ -11,13 +11,11 @@ pytest-benchmark measures wall-clock time of the simulation itself; the
 scientifically meaningful output is the *simulated* time in the tables.
 
 Every figure's point loop goes through the :func:`engine_sweep` fixture —
-one call into the deterministic sweep service (:mod:`repro.exec`) instead
+one call into the deterministic sweep engine (:mod:`repro.exec`) instead
 of an inline ``for`` loop — so the whole benchmark suite can be
-parallelized (``REPRO_EXEC_WORKERS=4``), moved onto another transport
-(``REPRO_EXEC_EXECUTOR=subprocess``, or ``http`` with
-``REPRO_EXEC_HOSTS=host:port,...``), or served from the result cache
-(``REPRO_EXEC_CACHE=.repro-cache``) without touching any test, and the
-tables are bit-identical every way.
+parallelized on the local process pool (``REPRO_EXEC_WORKERS=4``) or
+served from the result cache (``REPRO_EXEC_CACHE=.repro-cache``) without
+touching any test, and the tables are bit-identical every way.
 """
 
 from __future__ import annotations
@@ -57,13 +55,13 @@ def sweep_cache():
 
 @pytest.fixture
 def engine_sweep(exec_workers, sweep_cache):
-    """Run a spec list through the sweep service; returns the result list.
+    """Run a spec list through the sweep engine; returns the result list.
 
     Results come back in spec order and are bit-identical for any
     executor and worker count, so the figure assertions downstream never
     depend on how the sweep was executed.  The transport is inherited
-    from ``$REPRO_EXEC_EXECUTOR`` / ``$REPRO_EXEC_HOSTS`` via
-    :func:`repro.exec.run_specs`'s defaults.
+    from ``$REPRO_EXEC_EXECUTOR`` via :func:`repro.exec.run_specs`'s
+    defaults.
     """
 
     def _sweep(specs, shared=None):

@@ -144,7 +144,7 @@ class DCudaWorkerError(DCudaError):
     message embeds the original traceback text), or a spec was
     quarantined after its worker died on every dispatch attempt.  A
     single worker death is *not* an error — the coordinator re-dispatches
-    the in-flight job to a surviving or respawned worker and the sweep
+    the in-flight job to a rebuilt process pool and the sweep
     completes; only a poisoned spec that exhausts its attempt budget on
     distinct workers surfaces here, after the rest of the sweep drains.
     """
@@ -152,7 +152,7 @@ class DCudaWorkerError(DCudaError):
     code = "DCUDA_WORKER"
     remediation = ("Worker loss is retried automatically (bounded "
                    "re-dispatch, then quarantine) — see "
-                   "docs/sweep_service.md.  For a task *exception*, the "
+                   "docs/performance.md.  For a task *exception*, the "
                    "message carries the label and traceback; re-running "
                    "serially (workers=1) reproduces it in-process under "
                    "a debugger.")

@@ -1,4 +1,4 @@
-"""The sweep service: pluggable executors, sharded cache, coordinator.
+"""The sweep engine: local executors, sharded cache, coordinator.
 
 The paper's evaluation is a fleet of *independent* simulations — figure
 points, ablation cells, chaos seeds, throughput probes.  This package
@@ -6,33 +6,28 @@ turns each of them into a picklable :class:`~repro.exec.spec.RunSpec`
 and executes whole sweeps through three cooperating layers:
 
 * **Executors** (:mod:`repro.exec.executors`) — *where* tasks run:
-  in-process serial, a spawn process pool, long-lived subprocess
-  workers over pipes, or HTTP worker daemons on other machines — one
-  protocol, so every transport is interchangeable.
+  in-process serial or a spawn process pool, behind one protocol.
 * **Store** (:mod:`repro.exec.cache`) — results memoized on disk keyed
-  by content hash + source-tree fingerprint, sharded by key prefix so
-  the directory scales to million-point campaigns (with transparent
-  migration of pre-sharding caches).
+  by content hash + source-tree fingerprint, sharded by key prefix.
 * **Coordinator** (:mod:`repro.exec.coordinator`) — *what* runs when:
   the spec queue, cache probes, in-flight dedup, retry on worker loss,
   poisoned-spec quarantine, and streamed progress.
 
 Results are merged by submission index, so every sweep is
 **bit-identical to serial execution** for any executor, worker count,
-shard count, and any sequence of worker deaths
+and any sequence of worker deaths
 (:func:`~repro.exec.engine.run_specs` is the one-call surface).
 
 Command line::
 
     python -m repro.exec run chaos --seeds 50 --workers 4
-    python -m repro.exec run fig6 --executor http --hosts 127.0.0.1:8791
-    python -m repro.exec worker --port 8791
+    python -m repro.exec run fig6 --workers 2
     python -m repro.exec status
     python -m repro.exec cache stats --shard
     python -m repro.exec cache gc
 
-See ``docs/sweep_service.md`` for the architecture and
-``docs/performance.md`` for the determinism argument.
+See ``docs/performance.md`` for the layers and the determinism
+argument.
 """
 
 from .cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
@@ -41,10 +36,8 @@ from .engine import SweepReport, default_workers, run_specs
 from .executors import (
     EXECUTOR_NAMES,
     Executor,
-    HTTPWorkerExecutor,
     LocalPoolExecutor,
     SerialExecutor,
-    SubprocessWorkerExecutor,
     build_executor,
 )
 from .fingerprint import source_fingerprint
@@ -70,8 +63,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "LocalPoolExecutor",
-    "SubprocessWorkerExecutor",
-    "HTTPWorkerExecutor",
     "build_executor",
     "EXECUTOR_NAMES",
     "ResultCache",

@@ -1,14 +1,11 @@
-"""Command-line sweep service: ``python -m repro.exec``.
+"""Command-line sweep engine: ``python -m repro.exec``.
 
 Subcommands::
 
     run <suite>     execute a named sweep (chaos, fig6..fig11, topo,
-                    ml, simperf) on any executor transport
-    worker          serve jobs: --stdio (pipe fleet member) or
-                    --port N (HTTP worker daemon)
+                    ml, simperf) serially or on the local process pool
     status          census the result cache + live sweep progress
     cache stats     census with optional per-shard breakdown
-    cache migrate   move legacy unsharded entries into their shards
     cache gc        delete entries from stale source fingerprints
     cache clear     delete every cache entry
 
@@ -29,9 +26,6 @@ Examples::
 
     PYTHONPATH=src python -m repro.exec run chaos --seeds 50 --workers 4
     PYTHONPATH=src python -m repro.exec run fig6 --workers 2
-    PYTHONPATH=src python -m repro.exec worker --port 8791   # terminal 1
-    PYTHONPATH=src python -m repro.exec run fig6 --executor http \\
-        --hosts 127.0.0.1:8791                               # terminal 2
     PYTHONPATH=src python -m repro.exec run fig6 --require-cached
     PYTHONPATH=src python -m repro.exec status
     PYTHONPATH=src python -m repro.exec cache stats --shard
@@ -63,8 +57,9 @@ EXIT_NOT_CACHED = 3
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec",
-        description="Deterministic sweep service with pluggable "
-                    "executors and a sharded content-addressed cache.")
+        description="Deterministic sweep engine with serial and "
+                    "process-pool executors and a sharded "
+                    "content-addressed cache.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a named sweep")
@@ -76,9 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                      help="transport (default: $REPRO_EXEC_EXECUTOR, or "
                           "serial/local by worker count)")
-    run.add_argument("--hosts", type=str, default=None, metavar="H:P,...",
-                     help="http executor: comma-separated host:port "
-                          "worker daemons (default: $REPRO_EXEC_HOSTS)")
     run.add_argument("--progress", action="store_true",
                      help="stream a live progress line to stderr")
     run.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR,
@@ -89,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "the cache")
     run.add_argument("--timeout", type=float, default=None, metavar="S",
                      help="per-task wall-clock budget in seconds "
-                          "(process transports)")
+                          "(local pool)")
     run.add_argument("--json", type=str, default=None, metavar="PATH",
                      help="sweep record path (default: BENCH_sweep.json "
                           "at the repo root)")
@@ -127,29 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
                           "communication backends to sweep (proxy, "
                           "device, stream; default: proxy)")
 
-    worker = sub.add_parser(
-        "worker", help="serve sweep jobs (stdio fleet member or HTTP "
-                       "daemon)")
-    mode = worker.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--stdio", action="store_true",
-                      help="speak the frame protocol over stdin/stdout "
-                           "(used by the subprocess executor)")
-    mode.add_argument("--port", type=int, default=None,
-                      help="serve HTTP on this port (0 picks a free one)")
-    worker.add_argument("--host", type=str, default="127.0.0.1",
-                        help="HTTP bind address (default 127.0.0.1; "
-                             "binding wider is an explicit decision)")
-
     status = sub.add_parser("status",
                             help="census the result cache + live sweep "
                                  "progress")
     status.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR)
 
     cache = sub.add_parser("cache", help="cache maintenance")
-    cache.add_argument("action", choices=("stats", "migrate", "gc",
-                                          "clear"),
-                       help="stats: census; migrate: move legacy entries "
-                            "into shards; gc: drop stale generations; "
+    cache.add_argument("action", choices=("stats", "gc", "clear"),
+                       help="stats: census; gc: drop stale generations; "
                             "clear: drop everything")
     cache.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR)
     cache.add_argument("--shard", action="store_true",
@@ -174,8 +151,6 @@ def _cmd_run(args) -> int:
     workers = (args.workers if args.workers is not None
                else default_workers())
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    hosts = (tuple(h.strip() for h in args.hosts.split(",") if h.strip())
-             if args.hosts else None)
 
     on_event = None
     if args.progress:
@@ -186,8 +161,7 @@ def _cmd_run(args) -> int:
 
     report = run_specs(suite.specs, workers=workers, cache=cache,
                        shared=suite.shared, timeout=args.timeout,
-                       executor=args.executor, hosts=hosts,
-                       on_event=on_event)
+                       executor=args.executor, on_event=on_event)
 
     print(suite.assemble(report.results))
     print(f"engine: {report.summary()}")
@@ -228,20 +202,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_worker(args) -> int:
-    from .worker import serve_http, serve_stdio
-
-    if args.stdio:
-        return serve_stdio()
-    print(f"worker: serving HTTP on {args.host}:{args.port} "
-          "(Ctrl-C to stop)", file=sys.stderr)
-    try:
-        serve_http(args.port, host=args.host)
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    return 0
-
-
 def _read_status(cache_root) -> Optional[dict]:
     try:
         return json.loads((cache_root / STATUS_FILENAME).read_text())
@@ -270,9 +230,6 @@ def _print_census(cache: ResultCache, shard: bool = False) -> None:
     print(f"generations:    {stats.generations}")
     print(f"shards:         {stats.shards or '(generation absent)'}")
     print(f"live entries:   {stats.entries} ({stats.bytes} bytes)")
-    if stats.legacy_entries:
-        print(f"legacy entries: {stats.legacy_entries} (unsharded; run "
-              "'cache migrate' or let reads migrate them)")
     print(f"stale entries:  {stats.stale_entries} ({stats.stale_bytes} "
           "bytes, reclaimable via 'cache gc')")
     status = _read_status(cache.root)
@@ -296,11 +253,6 @@ def _cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
         _print_census(cache, shard=args.shard)
-    elif args.action == "migrate":
-        migrated, dropped = cache.migrate()
-        print(f"migrate: moved {migrated} legacy entr"
-              f"{'y' if migrated == 1 else 'ies'} into shards, dropped "
-              f"{dropped} corrupt")
     elif args.action == "gc":
         removed, freed = cache.gc()
         print(f"gc: removed {removed} stale entr{'y' if removed == 1 else 'ies'}, "
@@ -318,8 +270,6 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
         if args.command == "status":
             return _cmd_status(args)
         return _cmd_cache(args)

@@ -2,25 +2,17 @@
 
 Layout: one directory per *source fingerprint generation* (first 16 hex
 chars of :func:`~repro.exec.fingerprint.source_fingerprint`), and inside
-it N ``shard-XXX`` directories addressed by the task-key prefix.  One
-file per result, named by the full task key — the sha256 of the spec's
-content hash concatenated with the shared-payload digest.  A key never
-changes meaning: same code + same spec + same shared inputs ⇒ same file,
-same shard.  Sharding keeps any one directory small enough to be cheap
-on network filesystems (a million-entry campaign is ~4k files per shard
-at the default width) and lets independent workers publish concurrently
-without contending on a single directory's metadata.
+it :data:`SHARDS` ``shard-XXX`` directories addressed by the task-key
+prefix.  One file per result, named by the full task key — the sha256
+of the spec's content hash concatenated with the shared-payload digest.
+A key never changes meaning: same code + same spec + same shared inputs
+⇒ same file, same shard.  Sharding keeps any one directory small and
+lets concurrent pool workers publish without contending on a single
+directory's metadata.  The layout is fixed: any change to it changes
+the source fingerprint, so it starts a new generation that only the new
+layout ever writes.
 
-A ``meta.json`` next to the shards records the generation's shard
-count.  The count on disk always wins over the constructor argument, so
-readers and writers with different defaults agree on where every key
-lives.  Generations written before sharding existed have their entries
-directly in the generation directory; those *legacy* entries are
-verified and moved into their home shard transparently on first read
-(or in bulk via :meth:`ResultCache.migrate`), so an old cache keeps its
-hits across the upgrade.
-
-Entry format (self-verifying, unchanged from the unsharded store)::
+Entry format (self-verifying)::
 
     repro-cache-v1\\n
     <sha256 hex of payload>\\n
@@ -39,7 +31,6 @@ half-new entry under the real name.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -53,19 +44,16 @@ from .fingerprint import source_fingerprint
 from .spec import RunSpec
 
 __all__ = ["ResultCache", "CacheStats", "ShardStats", "DEFAULT_CACHE_DIR",
-           "DEFAULT_SHARDS"]
+           "SHARDS"]
 
 #: Default cache location, relative to the invoking working directory
 #: (the repo root in every documented workflow).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Default shard fan-out per generation.  Wide enough that million-point
-#: campaigns stay at a few thousand files per directory, small enough
-#: that an ``ls`` of a fresh cache is still readable.
-DEFAULT_SHARDS = 16
+#: Shard fan-out per generation.
+SHARDS = 16
 
 _MAGIC = b"repro-cache-v1"
-_META_NAME = "meta.json"
 
 
 @dataclass(frozen=True)
@@ -93,37 +81,26 @@ class CacheStats:
     generations: int
     #: Shard fan-out of the current generation (0 = generation absent).
     shards: int = 0
-    #: Pre-sharding entries still sitting flat in the current generation
-    #: directory (they migrate on first read or via ``migrate``).
-    legacy_entries: int = 0
     #: Per-shard census of the current generation.
     shard_breakdown: Tuple[ShardStats, ...] = field(default=())
 
 
 class ResultCache:
-    """Sharded content-addressed result store for the sweep service.
+    """Sharded content-addressed result store for the sweep engine.
 
     Args:
         root: Cache directory (created lazily on first write).
         fingerprint: Source-tree fingerprint to namespace entries under;
             defaults to the live fingerprint of the installed ``repro``
             package.  Tests inject explicit values to model code changes.
-        shards: Shard fan-out for *new* generations.  A generation that
-            already has a ``meta.json`` keeps its recorded count — the
-            disk always wins, so mixed-version readers agree on layout.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
-                 fingerprint: Optional[str] = None,
-                 shards: int = DEFAULT_SHARDS):
+                 fingerprint: Optional[str] = None):
         self.root = Path(root)
         self.fingerprint = fingerprint or source_fingerprint()
         if not self.fingerprint:
             raise DCudaUsageError("empty cache fingerprint")
-        if shards < 1:
-            raise DCudaUsageError(f"shard count must be >= 1, got {shards}")
-        self._configured_shards = int(shards)
-        self._shards: Optional[int] = None  # resolved lazily, disk wins
 
     # ---------------------------------------------------------- keys -----
     def key_for(self, spec: RunSpec, shared_digest: str = "") -> str:
@@ -136,61 +113,14 @@ class ResultCache:
     def _generation_dir(self) -> Path:
         return self.root / self.fingerprint[:16]
 
-    # -------------------------------------------------------- sharding -----
-    def shard_count(self) -> int:
-        """Shard fan-out of the current generation (disk wins)."""
-        if self._shards is None:
-            self._shards = self._read_meta_shards(self._generation_dir())
-        return self._shards
-
-    def _read_meta_shards(self, gen: Path) -> int:
-        """Shard count recorded in *gen*'s meta.json, else configured."""
-        try:
-            meta = json.loads((gen / _META_NAME).read_text())
-            count = int(meta["shards"])
-            if count >= 1:
-                return count
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        return self._configured_shards
-
-    def _write_meta(self, gen: Path) -> None:
-        """Publish meta.json atomically if absent (first write wins)."""
-        path = gen / _META_NAME
-        if path.exists():
-            return
-        blob = json.dumps({"format": "repro-cache-v2",
-                           "shards": self.shard_count()},
-                          sort_keys=True).encode()
-        fd, tmp = tempfile.mkstemp(dir=gen, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    @staticmethod
-    def shard_index(key: str, shards: int) -> int:
-        """Shard a task key by its hex prefix (hash fallback otherwise)."""
-        try:
-            return int(key[:2], 16) % shards
-        except ValueError:
-            return zlib.crc32(key.encode()) % shards
-
-    def _shard_dir(self, key: str) -> Path:
-        idx = self.shard_index(key, self.shard_count())
-        return self._generation_dir() / f"shard-{idx:03d}"
-
     def _entry_path(self, key: str) -> Path:
-        return self._shard_dir(key) / f"{key}.pkl"
-
-    def _legacy_path(self, key: str) -> Path:
-        """Where a pre-sharding store kept this key (flat in the gen)."""
-        return self._generation_dir() / f"{key}.pkl"
+        """Home of *key*: its shard is picked by the key's hex prefix
+        (a hash of the key for non-hex test keys)."""
+        try:
+            idx = int(key[:2], 16) % SHARDS
+        except ValueError:
+            idx = zlib.crc32(key.encode()) % SHARDS
+        return self._generation_dir() / f"shard-{idx:03d}" / f"{key}.pkl"
 
     # ----------------------------------------------------------- I/O -----
     @staticmethod
@@ -206,44 +136,22 @@ class ResultCache:
     def get(self, key: str) -> Tuple[bool, Any]:
         """Look up *key*; returns ``(hit, result)``.
 
-        Checks the key's home shard first, then the legacy flat location
-        of a pre-sharding store; a verified legacy entry is moved into
-        its shard on the way out, so the migration is incremental and
-        free.  A corrupted, truncated, or unreadable entry in either
-        place is treated as a miss and deleted best-effort — the caller
-        re-runs the task and the subsequent :meth:`put` repairs it.
+        A corrupted, truncated, or unreadable entry is treated as a miss
+        and deleted best-effort — the caller re-runs the task and the
+        subsequent :meth:`put` repairs it.
         """
         path = self._entry_path(key)
         try:
             entry = self._verify(path.read_bytes())
             return True, entry["result"]
         except FileNotFoundError:
-            pass
+            return False, None
         except Exception:
             try:
                 path.unlink()
             except OSError:
                 pass
             return False, None
-        # Miss in the shard — a legacy (unsharded) entry may hold it.
-        legacy = self._legacy_path(key)
-        try:
-            blob = legacy.read_bytes()
-            entry = self._verify(blob)
-        except FileNotFoundError:
-            return False, None
-        except Exception:
-            try:
-                legacy.unlink()
-            except OSError:
-                pass
-            return False, None
-        self._publish(path, blob)
-        try:
-            legacy.unlink()
-        except OSError:
-            pass
-        return True, entry["result"]
 
     def put(self, key: str, result: Any, label: str = "") -> None:
         """Store *result* under *key*, atomically, in its home shard.
@@ -265,9 +173,7 @@ class ResultCache:
     def _publish(self, path: Path, blob: bytes) -> None:
         """Atomically write *blob* to *path* (same-dir temp + replace)."""
         shard = path.parent
-        gen = shard.parent
         shard.mkdir(parents=True, exist_ok=True)
-        self._write_meta(gen)
         fd, tmp = tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".pkl")
         try:
             with os.fdopen(fd, "wb") as f:
@@ -279,46 +185,10 @@ class ResultCache:
             except OSError:
                 pass
 
-    # ------------------------------------------------------- migration -----
-    def migrate(self) -> Tuple[int, int]:
-        """Move every legacy flat entry of the current generation into
-        its home shard, verifying each on the way.
-
-        Returns:
-            ``(migrated, dropped)`` — entries moved vs. corrupt entries
-            deleted (a dropped entry degrades to a miss + re-run later,
-            never a wrong result).
-        """
-        gen = self._generation_dir()
-        migrated = dropped = 0
-        if not gen.is_dir():
-            return 0, 0
-        for entry in sorted(gen.glob("*.pkl")):
-            if entry.name.startswith(".tmp-"):
-                continue
-            key = entry.stem
-            try:
-                blob = entry.read_bytes()
-                self._verify(blob)
-            except Exception:
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-                dropped += 1
-                continue
-            self._publish(self._entry_path(key), blob)
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-            migrated += 1
-        return migrated, dropped
-
     # ----------------------------------------------------- maintenance -----
     def _census(self):
         current = self._generation_dir().name
-        live = stale = live_b = stale_b = legacy = 0
+        live = stale = live_b = stale_b = 0
         gens = set()
         per_shard: Dict[str, List[int]] = {}
         if self.root.is_dir():
@@ -333,32 +203,27 @@ class ResultCache:
                     if gen.name == current:
                         live += 1
                         live_b += size
-                        if entry.parent == gen:
-                            legacy += 1
-                        else:
-                            counts = per_shard.setdefault(
-                                entry.parent.name, [0, 0])
-                            counts[0] += 1
-                            counts[1] += size
+                        counts = per_shard.setdefault(
+                            entry.parent.name, [0, 0])
+                        counts[0] += 1
+                        counts[1] += size
                     else:
                         stale += 1
                         stale_b += size
-        return current, live, live_b, stale, stale_b, gens, legacy, per_shard
+        return live, live_b, stale, stale_b, gens, per_shard
 
     def stats(self) -> CacheStats:
         """Census the cache directory (current vs. stale generations,
         plus the current generation's per-shard breakdown)."""
-        (_, live, live_b, stale, stale_b, gens, legacy,
-         per_shard) = self._census()
+        live, live_b, stale, stale_b, gens, per_shard = self._census()
         breakdown = tuple(
             ShardStats(name=name, entries=counts[0], bytes=counts[1])
             for name, counts in sorted(per_shard.items()))
-        shards = self.shard_count() if self._generation_dir().is_dir() else 0
+        shards = SHARDS if self._generation_dir().is_dir() else 0
         return CacheStats(root=str(self.root), fingerprint=self.fingerprint,
                           entries=live, bytes=live_b, stale_entries=stale,
                           stale_bytes=stale_b, generations=len(gens),
-                          shards=shards, legacy_entries=legacy,
-                          shard_breakdown=breakdown)
+                          shards=shards, shard_breakdown=breakdown)
 
     def _remove_tree(self, gen: Path) -> Tuple[int, int]:
         """Delete a generation dir recursively; count only entries."""

@@ -7,9 +7,9 @@ deliberately excludes —
 * **Merging**: results are placed by *submission index*, so the merged
   list (and its :func:`~repro.exec.spec.canonical_digest`) is a pure
   function of the spec list alone — bit-identical for any executor,
-  worker count, shard count, and any sequence of worker deaths.  An
-  executor only decides *when* a completion arrives, never *what* it
-  contains, and a retried task re-runs the same pure function.
+  worker count, and any sequence of worker deaths.  An executor only
+  decides *when* a completion arrives, never *what* it contains, and a
+  retried task re-runs the same pure function.
 * **Caching**: one probe and one publish per unique task key against
   the sharded :class:`~repro.exec.cache.ResultCache`.
 * **In-flight dedup**: identical cacheable specs submitted concurrently
@@ -17,11 +17,17 @@ deliberately excludes —
   counted as a ``dedup_hit``.  Non-cacheable specs (wall-clock probes)
   are never deduplicated — collapsing two measurements into one would
   be the same lie as caching them.
+* **Windowed dispatch**: at most one job per live worker is handed to
+  the executor at a time; the rest wait in the coordinator's queue, so
+  a worker death can only take the in-flight window down with it.
 * **Retry on worker loss**: a task whose worker died is re-dispatched —
   the job, not the worker, is the unit of recovery — up to
-  *max_attempts* times.  A spec that kills *distinct* workers on every
-  attempt is **quarantined**: it stops being dispatched, the rest of
-  the sweep completes, and the coordinator raises a single typed
+  *max_attempts* times.  A process pool loses every in-flight job when
+  one worker dies, so a lost job is a *suspect* and runs alone on its
+  retries: a repeat loss is then unambiguously its own.  A spec that
+  kills *distinct* workers on every attempt is **quarantined**: it
+  stops being dispatched, the rest of the sweep completes, and the
+  coordinator raises a single typed
   :class:`~repro.errors.DCudaWorkerError` naming the spec and the
   workers it took down.  Typed task errors (including untyped
   exceptions wrapped by the worker) are deterministic and propagate
@@ -37,6 +43,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -223,8 +230,8 @@ class Coordinator:
                 killed).
             DCudaWorkerError: A task raised an untyped exception in a
                 worker, or a spec was quarantined after exhausting its
-                dispatch budget on distinct workers, or every worker
-                was lost with no respawn budget left.
+                dispatch budget on distinct workers, or the executor
+                reports no live workers.
         """
         specs = list(specs)
         shared = dict(shared or {})
@@ -296,40 +303,52 @@ class Coordinator:
 
         ex.start(shared, expected_jobs=len(jobs))
         try:
-            pending: Dict[int, _JobState] = {}
-            order: List[int] = []  # submission order, for timeout blame
-            for job_id, state in enumerate(jobs):
-                pending[job_id] = state
-                order.append(job_id)
-                ex.submit(Job(
-                    job_id=job_id, entrypoint=state.spec.entrypoint,
-                    params=dict(state.spec.params),
-                    label=state.spec.describe()))
+            in_flight: Dict[int, _JobState] = {}
+            queued = deque(range(len(jobs)))
+            window = max(1, ex.alive_workers())
+
+            def dispatch():
+                # Keep up to *window* jobs in flight.  A job already lost
+                # once is a suspect and runs alone: a process pool loses
+                # every in-flight job when one worker dies, so only an
+                # isolated loss is unambiguously the job's own.
+                while queued and len(in_flight) < window:
+                    state = jobs[queued[0]]
+                    if in_flight and (state.attempts or any(
+                            s.attempts for s in in_flight.values())):
+                        return
+                    job_id = queued.popleft()
+                    in_flight[job_id] = state
+                    ex.submit(Job(
+                        job_id=job_id, entrypoint=state.spec.entrypoint,
+                        params=dict(state.spec.params),
+                        label=state.spec.describe()))
 
             enforce_timeout = timeout is not None and ex.preemptive
             waited = 0.0
             tick = 0.25 if enforce_timeout else 1.0
-            while pending:
+            while True:
+                dispatch()
+                if not in_flight:
+                    break
                 comp = ex.next_completion(
                     timeout=tick if ex.preemptive else None)
                 if comp is None:
                     if ex.alive_workers() <= 0:
                         raise DCudaWorkerError(
-                            "every worker was lost and the respawn "
-                            "budget is exhausted; the coordinator "
-                            "cannot dispatch the remaining "
-                            f"{len(pending)} task(s)")
+                            "the executor has no live workers; the "
+                            "coordinator cannot dispatch the remaining "
+                            f"{len(in_flight) + len(queued)} task(s)")
                     waited += tick
                     if enforce_timeout and waited >= timeout:
-                        oldest = next(i for i in order if i in pending)
-                        label = pending[oldest].spec.describe()
+                        label = next(iter(in_flight.values())).spec.describe()
                         ex.stop(force=True)
                         raise DCudaTimeoutError(
                             f"sweep task {label!r} exceeded the per-task "
                             f"timeout of {timeout}s") from None
                     continue
                 waited = 0.0
-                state = pending.get(comp.job_id)
+                state = in_flight.pop(comp.job_id, None)
                 if state is None:
                     continue  # stale completion from a superseded attempt
                 if comp.worker_lost:
@@ -340,25 +359,19 @@ class Coordinator:
                                          label=state.spec.describe(),
                                          worker=comp.worker))
                     if state.attempts >= self.max_attempts:
-                        del pending[comp.job_id]
                         quarantined.append(state)
                         self._emit(_snapshot(
                             "quarantine", label=state.spec.describe(),
                             worker=comp.worker))
                     else:
                         retries += 1
-                        ex.submit(Job(
-                            job_id=comp.job_id,
-                            entrypoint=state.spec.entrypoint,
-                            params=dict(state.spec.params),
-                            label=state.spec.describe()))
+                        queued.appendleft(comp.job_id)
                         self._emit(_snapshot(
                             "retry", label=state.spec.describe()))
                     continue
                 if comp.error is not None:
                     ex.stop(force=True)
                     raise comp.error
-                del pending[comp.job_id]
                 for idx in state.indices:
                     results[idx] = comp.value
                 done_indices += len(state.indices)

@@ -1,21 +1,21 @@
 """The deterministic sweep engine: one call, any executor.
 
-:func:`run_specs` is the stable library surface from PR 4; since the
-sweep-as-a-service refactor it is a thin wrapper that picks an executor
-transport (:mod:`repro.exec.executors`) and hands the spec list to the
-:class:`~repro.exec.coordinator.Coordinator`, which owns merging,
-caching, in-flight dedup, retry-on-worker-loss, and quarantine.
+:func:`run_specs` is the stable library surface: a thin wrapper that
+picks an executor transport (:mod:`repro.exec.executors`) and hands the
+spec list to the :class:`~repro.exec.coordinator.Coordinator`, which
+owns merging, caching, in-flight dedup, retry-on-worker-loss, and
+quarantine.
 
 Determinism argument (the proof sketch expanded in
-``docs/performance.md`` and ``docs/sweep_service.md``): every
-entrypoint is a *pure function* of ``(params, shared)`` — each task
-builds its own :class:`~repro.sim.Environment` and cluster from config
-data, the simulator is fully deterministic given its inputs, and
-workers share no mutable state (fresh interpreters).  The coordinator
+``docs/performance.md``): every entrypoint is a *pure function* of
+``(params, shared)`` — each task builds its own
+:class:`~repro.sim.Environment` and cluster from config data, the
+simulator is fully deterministic given its inputs, and workers share no
+mutable state (fresh interpreters).  The coordinator
 assigns each spec an index at submission, executes tasks in whatever
 order on whichever transport, and merges results *by index*.  Therefore
 the merged result list is a pure function of the spec list alone —
-bit-identical for any executor, worker count, shard count, and any
+bit-identical for any executor, worker count, and any
 sequence of worker deaths survived by retry.  The golden-timestamp
 fixture, the chaos contract, and the worker-loss fuzz harness
 (``tests/exec/``) enforce this empirically.
@@ -27,7 +27,7 @@ exception in a worker is wrapped in
 original traceback text, and a per-task ``timeout`` (a stuck worker is
 terminated) surfaces as :class:`~repro.errors.DCudaTimeoutError`.  A
 worker that *dies* is not a task failure: the coordinator re-dispatches
-the in-flight job to a surviving (or respawned) worker up to its
+the in-flight job to a rebuilt pool up to its
 attempt budget, and only a spec that kills distinct workers on every
 attempt is quarantined into a single typed
 :class:`~repro.errors.DCudaWorkerError` after the rest of the sweep
@@ -55,18 +55,15 @@ from .executors import EXECUTOR_NAMES, Executor, build_executor
 from .spec import RunSpec
 
 __all__ = ["SweepReport", "run_specs", "default_workers",
-           "default_executor_name", "WORKERS_ENV", "EXECUTOR_ENV",
-           "HOSTS_ENV"]
+           "default_executor_name", "WORKERS_ENV", "EXECUTOR_ENV"]
 
 #: Environment knob consulted when ``workers`` is not given explicitly:
 #: tests and CI set ``REPRO_EXEC_WORKERS=2`` to exercise the pool without
 #: every call site growing a flag.
 WORKERS_ENV = "REPRO_EXEC_WORKERS"
-#: Environment knob for the executor transport (``serial`` / ``local`` /
-#: ``subprocess`` / ``http``); same opt-in philosophy as the worker knob.
+#: Environment knob for the executor transport (``serial`` / ``local``);
+#: same opt-in philosophy as the worker knob.
 EXECUTOR_ENV = "REPRO_EXEC_EXECUTOR"
-#: Comma-separated ``host:port`` list for the ``http`` transport.
-HOSTS_ENV = "REPRO_EXEC_HOSTS"
 
 
 def default_workers() -> int:
@@ -99,20 +96,13 @@ def default_executor_name(workers: int) -> str:
     return "serial" if workers <= 1 else "local"
 
 
-def _env_hosts() -> tuple:
-    raw = os.environ.get(HOSTS_ENV, "").strip()
-    return tuple(h.strip() for h in raw.split(",") if h.strip())
-
-
-def _resolve_executor(executor, workers: int, hosts):
+def _resolve_executor(executor, workers: int):
     """Normalize the ``executor`` argument to ``(Executor, fallback)``.
 
-    ``fallback`` enables the coordinator's serial shortcut for *auto-
-    built process transports* — the historical "don't spin up a pool
-    for one task" behaviour.  An executor instance the caller built is
-    used exactly as given; an explicit ``http`` transport keeps its
-    remote workers even for tiny sweeps (the point may be the remote
-    environment).
+    ``fallback`` enables the coordinator's serial shortcut for an
+    *auto-built pool* — the historical "don't spin up a pool for one
+    task" behaviour.  An executor instance the caller built is used
+    exactly as given.
     """
     if isinstance(executor, Executor):
         return executor, False
@@ -122,9 +112,8 @@ def _resolve_executor(executor, workers: int, hosts):
         raise DCudaUsageError(
             f"executor must be an Executor instance or one of "
             f"{', '.join(EXECUTOR_NAMES)}; got {executor!r}")
-    hosts = tuple(hosts or ()) or _env_hosts()
-    built = build_executor(executor, workers=workers, hosts=hosts)
-    return built, executor in ("local", "subprocess")
+    built = build_executor(executor, workers=workers)
+    return built, executor == "local"
 
 
 def run_specs(specs: Sequence[RunSpec], *,
@@ -133,7 +122,6 @@ def run_specs(specs: Sequence[RunSpec], *,
               shared: Optional[Mapping[str, Any]] = None,
               timeout: Optional[float] = None,
               executor: Union[Executor, str, None] = None,
-              hosts: Optional[Sequence[str]] = None,
               on_event: Optional[Callable[[ProgressEvent], None]] = None,
               max_attempts: int = 3) -> SweepReport:
     """Execute a sweep of :class:`RunSpec` tasks; results in spec order.
@@ -157,8 +145,6 @@ def run_specs(specs: Sequence[RunSpec], *,
             :data:`~repro.exec.executors.EXECUTOR_NAMES`, or ``None``
             to consult ``$REPRO_EXEC_EXECUTOR`` and fall back to
             ``serial``/``local`` by worker count.
-        hosts: ``host:port`` worker daemons for the ``http`` transport
-            (``$REPRO_EXEC_HOSTS`` when omitted).
         on_event: Optional progress callback receiving
             :class:`~repro.exec.coordinator.ProgressEvent` updates.
         max_attempts: Dispatch budget per spec across worker losses
@@ -180,7 +166,7 @@ def run_specs(specs: Sequence[RunSpec], *,
     if workers is None:
         workers = default_workers()
     workers = max(1, int(workers))
-    ex, fallback = _resolve_executor(executor, workers, hosts)
+    ex, fallback = _resolve_executor(executor, workers)
     coordinator = Coordinator(ex, cache=cache, max_attempts=max_attempts,
                               on_event=on_event, workers_hint=workers,
                               serial_fallback=fallback)

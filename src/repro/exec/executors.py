@@ -1,6 +1,6 @@
-"""Pluggable sweep executors: one protocol, four transports.
+"""Sweep executors: one protocol, two local transports.
 
-The sweep service splits *what to run* (the coordinator,
+The sweep engine splits *what to run* (the coordinator,
 :mod:`repro.exec.coordinator`) from *where it runs* (this module).  An
 :class:`Executor` accepts :class:`Job` submissions and yields
 :class:`Completion` events; everything else — ordering, caching, dedup,
@@ -20,17 +20,6 @@ Transports:
   :class:`~repro.errors.DCudaWorkerError` on the worker side.  A broken
   pool is rebuilt on the next submit, so the coordinator can re-dispatch
   after worker loss.
-* :class:`SubprocessWorkerExecutor` — long-lived worker processes
-  (``python -m repro.exec worker --stdio``) speaking the length-prefixed
-  pickle frame protocol of :mod:`repro.exec.worker` over stdin/stdout
-  pipes.  Dead workers are detected by pipe EOF and respawned; this is
-  the template for SSH transports (same frames over ``ssh host python -m
-  repro.exec worker --stdio``).
-* :class:`HTTPWorkerExecutor` — connects to worker daemons started with
-  ``python -m repro.exec worker --port N``: the coordinator POSTs specs
-  to ``/submit`` and polls ``/poll`` for completions, so workers can
-  live on other hosts.  A connection failure marks the worker lost; the
-  executor keeps probing ``/healthz`` and re-adopts a restarted daemon.
 
 Worker identity: every :class:`Completion` names the worker that
 produced (or died under) it.  The coordinator uses those names to
@@ -46,13 +35,10 @@ import concurrent.futures
 import os
 import pickle
 import queue
-import subprocess
-import sys
 import threading
-import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..errors import DCudaUsageError, DCudaWorkerError
 from .spec import resolve_entrypoint
@@ -63,14 +49,12 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "LocalPoolExecutor",
-    "SubprocessWorkerExecutor",
-    "HTTPWorkerExecutor",
     "build_executor",
     "EXECUTOR_NAMES",
 ]
 
 #: Names accepted by :func:`build_executor` (and the CLIs' ``--executor``).
-EXECUTOR_NAMES = ("serial", "local", "subprocess", "http")
+EXECUTOR_NAMES = ("serial", "local")
 
 
 @dataclass(frozen=True)
@@ -148,7 +132,7 @@ class Executor(abc.ABC):
         """Tear down workers (``force`` kills instead of draining)."""
 
     def alive_workers(self) -> int:
-        """Workers currently able to take jobs (after any respawning)."""
+        """Workers currently able to take jobs."""
         return 1
 
     def worker_pids(self) -> List[int]:
@@ -399,429 +383,20 @@ class LocalPoolExecutor(Executor):
             self._path_saved = False
 
 
-# ---------------------------------------------------- subprocess workers -----
-class _PipeWorker:
-    """One long-lived stdio worker process + its reader thread."""
-
-    def __init__(self, executor: "SubprocessWorkerExecutor", slot: int):
-        self.executor = executor
-        self.slot = slot
-        self.proc: Optional[subprocess.Popen] = None
-        self.current: Optional[Job] = None
-        self.alive = False
-        self.thread: Optional[threading.Thread] = None
-
-    @property
-    def ident(self) -> str:
-        pid = self.proc.pid if self.proc else "?"
-        return f"worker-{self.slot}-pid{pid}"
-
-    def spawn(self):
-        from .worker import send_frame
-
-        env = dict(os.environ)
-        prev = _ensure_child_import_path()
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
-        _restore_pythonpath(prev)
-        self.proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.exec", "worker",
-             "--stdio"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=env)
-        send_frame(self.proc.stdin, {"kind": "init",
-                                     "shared": self.executor.shared_blob})
-        self.alive = True
-        self.thread = threading.Thread(target=self._read_loop, daemon=True)
-        self.thread.start()
-
-    def send_job(self, job: Job):
-        from .worker import send_frame
-
-        self.current = job
-        send_frame(self.proc.stdin, {
-            "kind": "job", "job_id": job.job_id,
-            "entrypoint": job.entrypoint, "params": dict(job.params),
-            "label": job.label})
-
-    def _read_loop(self):
-        from .worker import recv_frame
-
-        proc = self.proc
-        while True:
-            try:
-                frame = recv_frame(proc.stdout)
-            except EOFError:
-                frame = None
-            except Exception:
-                frame = None
-            if frame is None:  # worker died (EOF) or stream corrupted
-                self.executor._on_worker_death(self)
-                return
-            if frame.get("kind") == "ready":
-                self.executor._on_worker_ready(self)
-            elif frame.get("kind") == "done":
-                self.executor._on_worker_done(self, frame)
-
-    def terminate(self):
-        self.alive = False
-        if self.proc is not None and self.proc.poll() is None:
-            try:
-                self.proc.terminate()
-            except OSError:
-                pass
-
-
-class SubprocessWorkerExecutor(Executor):
-    """A fleet of long-lived ``worker --stdio`` processes over pipes.
-
-    Each worker is a fresh interpreter running the frame loop of
-    :mod:`repro.exec.worker`; the parent ships the shared payload once
-    per worker, then feeds one job at a time.  A worker that dies (pipe
-    EOF) yields a ``worker_lost`` completion for its in-flight job and
-    is respawned — up to *respawn_limit* times across the fleet — so a
-    sweep survives worker loss without losing its dispatch queue.
-
-    Args:
-        workers: Fleet size.
-        respawn_limit: Total respawns allowed before dead slots stay
-            dead (a poisoned campaign must not fork-bomb the host).
-    """
-
-    name = "subprocess"
-
-    def __init__(self, workers: int = 2, respawn_limit: int = 16):
-        self.workers = max(1, int(workers))
-        self.respawn_limit = respawn_limit
-        self.shared_blob = pickle.dumps({},
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-        self._fleet: List[_PipeWorker] = []
-        self._pending: List[Job] = []
-        self._completions: "queue.Queue[Completion]" = queue.Queue()
-        self._lock = threading.Lock()
-        self._respawns = 0
-        self._stopped = False
-
-    def start(self, shared, expected_jobs=None):
-        self.shared_blob = pickle.dumps(dict(shared or {}),
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-        count = (min(self.workers, expected_jobs)
-                 if expected_jobs else self.workers)
-        for slot in range(max(1, count)):
-            worker = _PipeWorker(self, slot)
-            worker.spawn()
-            self._fleet.append(worker)
-
-    # Reader-thread callbacks ------------------------------------------------
-    def _on_worker_ready(self, worker: _PipeWorker):
-        with self._lock:
-            if self._pending and worker.alive and worker.current is None:
-                job = self._pending.pop(0)
-                try:
-                    worker.send_job(job)
-                except OSError:
-                    self._pending.insert(0, job)
-
-    def _on_worker_done(self, worker: _PipeWorker, frame: Dict[str, Any]):
-        with self._lock:
-            worker.current = None
-            next_job = self._pending.pop(0) if self._pending else None
-            if next_job is not None:
-                try:
-                    worker.send_job(next_job)
-                except OSError:
-                    self._pending.insert(0, next_job)
-        if frame.get("ok"):
-            comp = Completion(frame["job_id"], ok=True,
-                              value=frame.get("value"),
-                              worker=worker.ident)
-        else:
-            comp = Completion(frame["job_id"], error=frame.get("error"),
-                              worker=worker.ident)
-        self._completions.put(comp)
-
-    def _on_worker_death(self, worker: _PipeWorker):
-        if self._stopped:
-            return
-        with self._lock:
-            worker.alive = False
-            lost, worker.current = worker.current, None
-            ident = worker.ident
-            respawn = self._respawns < self.respawn_limit
-            if respawn:
-                self._respawns += 1
-        if lost is not None:
-            self._completions.put(Completion(
-                lost.job_id, worker=ident, worker_lost=True))
-        if respawn:
-            try:
-                worker.spawn()
-            except OSError:
-                with self._lock:
-                    worker.alive = False
-
-    # Protocol ----------------------------------------------------------------
-    def submit(self, job):
-        with self._lock:
-            for worker in self._fleet:
-                if worker.alive and worker.current is None:
-                    try:
-                        worker.send_job(job)
-                        return
-                    except OSError:
-                        continue
-            self._pending.append(job)
-
-    def next_completion(self, timeout=None):
-        try:
-            return self._completions.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def alive_workers(self):
-        with self._lock:
-            live = sum(1 for w in self._fleet if w.alive)
-            if self._respawns < self.respawn_limit:
-                live = max(live, 1)  # a dead slot can still come back
-            return live
-
-    def worker_pids(self):
-        with self._lock:
-            return [w.proc.pid for w in self._fleet
-                    if w.alive and w.proc is not None
-                    and w.proc.poll() is None]
-
-    def stop(self, force=False):
-        from .worker import send_frame
-
-        self._stopped = True
-        with self._lock:
-            fleet, self._fleet = self._fleet, []
-            self._pending.clear()
-        for worker in fleet:
-            if not force and worker.proc is not None and worker.alive:
-                try:
-                    send_frame(worker.proc.stdin, {"kind": "shutdown"})
-                except OSError:
-                    pass
-            worker.terminate()
-        for worker in fleet:
-            if worker.proc is not None:
-                try:
-                    worker.proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    worker.proc.kill()
-
-
-# --------------------------------------------------------- HTTP workers -----
-class _HttpWorkerClient(threading.Thread):
-    """Dispatcher thread for one remote worker daemon."""
-
-    def __init__(self, executor: "HTTPWorkerExecutor", host: str):
-        super().__init__(daemon=True)
-        self.executor = executor
-        self.host = host
-        self.alive = False
-        self.stopping = False
-        self.failures = 0
-
-    def _request(self, method: str, path: str, body: bytes = b"",
-                 timeout: float = 10.0) -> bytes:
-        import http.client
-
-        hostname, _, port = self.host.partition(":")
-        conn = http.client.HTTPConnection(hostname, int(port or 80),
-                                          timeout=timeout)
-        try:
-            conn.request(method, path, body=body or None,
-                         headers={"Content-Type":
-                                  "application/octet-stream"})
-            resp = conn.getresponse()
-            data = resp.read()
-            if resp.status != 200:
-                raise ConnectionError(
-                    f"{self.host}{path} -> HTTP {resp.status}")
-            return data
-        finally:
-            conn.close()
-
-    def run(self):
-        while not self.stopping:
-            if not self.alive:
-                if self._try_connect():
-                    self.failures = 0
-                else:
-                    self.failures += 1
-                    if (self.failures
-                            > self.executor.max_reconnect_failures):
-                        # Give up on a daemon that stays unreachable so
-                        # the coordinator can fail typed, never hang.
-                        self.stopping = True
-                        return
-                    time.sleep(self.executor.reconnect_interval)
-                    continue
-            job = self.executor._take_job()
-            if job is None:
-                if self.stopping:
-                    return
-                continue
-            self._run_job(job)
-
-    def _try_connect(self) -> bool:
-        try:
-            self._request("GET", "/healthz", timeout=2.0)
-            self._request("POST", "/init", self.executor.shared_blob)
-        except Exception:
-            return False
-        self.alive = True
-        return True
-
-    def _run_job(self, job: Job):
-        ident = f"http:{self.host}"
-        blob = pickle.dumps(
-            {"job_id": job.job_id, "entrypoint": job.entrypoint,
-             "params": dict(job.params), "label": job.label,
-             "epoch": self.executor.epoch},
-            protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            self._request("POST", "/submit", blob)
-            while not self.stopping:
-                data = self._request(
-                    "GET", f"/poll?wait={self.executor.poll_wait}",
-                    timeout=self.executor.poll_wait + 10.0)
-                frames = pickle.loads(data) if data else []
-                for frame in frames:
-                    if frame.get("epoch") != self.executor.epoch:
-                        # A dead session's straggler (the daemon ran a
-                        # job whose client had already given up, then a
-                        # new sweep reused the daemon).  Job ids are
-                        # only unique within a sweep, so crediting it
-                        # here would record a foreign result.  Drop it.
-                        continue
-                    if frame.get("ok"):
-                        comp = Completion(frame["job_id"], ok=True,
-                                          value=frame.get("value"),
-                                          worker=ident)
-                    else:
-                        comp = Completion(frame["job_id"],
-                                          error=frame.get("error"),
-                                          worker=ident)
-                    self.executor._completions.put(comp)
-                    if frame["job_id"] == job.job_id:
-                        return
-        except Exception:
-            self.alive = False
-            self.executor._completions.put(Completion(
-                job.job_id, worker=ident, worker_lost=True))
-
-    def stop(self):
-        self.stopping = True
-
-
-class HTTPWorkerExecutor(Executor):
-    """Dispatch to ``python -m repro.exec worker --port N`` daemons.
-
-    The coordinator-facing contract matches every other transport; the
-    wire protocol is deliberately minimal stdlib HTTP: ``POST /init``
-    ships the shared payload, ``POST /submit`` enqueues one pickled job,
-    ``GET /poll?wait=S`` long-polls for completion frames, and ``GET
-    /healthz`` answers liveness probes.  Payloads are pickle and carry
-    no authentication — the transport is for machines you already trust
-    to run your code (the same trust model as SSH workers), not the open
-    internet.
-
-    A worker that stops answering marks its in-flight job
-    ``worker_lost`` (the coordinator re-dispatches to surviving workers)
-    and is probed in the background: restarting the daemon re-adopts the
-    host mid-sweep.
-
-    Args:
-        hosts: ``"host:port"`` strings, one per worker daemon.
-        poll_wait: Long-poll horizon [s] for ``GET /poll``.
-        reconnect_interval: Seconds between liveness probes of a lost
-            worker.
-    """
-
-    name = "http"
-
-    def __init__(self, hosts: Sequence[str], poll_wait: float = 2.0,
-                 reconnect_interval: float = 0.5,
-                 max_reconnect_failures: int = 60):
-        hosts = [h.strip() for h in hosts if h and h.strip()]
-        if not hosts:
-            raise DCudaUsageError(
-                "HTTPWorkerExecutor needs at least one host:port "
-                "(start workers with `python -m repro.exec worker "
-                "--port N`)")
-        self.hosts = hosts
-        self.poll_wait = poll_wait
-        self.reconnect_interval = reconnect_interval
-        self.max_reconnect_failures = max_reconnect_failures
-        self.shared_blob = pickle.dumps({},
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-        #: Session tag: submitted with every job and echoed on its done
-        #: frame, so a reused daemon's stale frames (from a sweep that
-        #: gave this host up) are never credited to this sweep.
-        self.epoch = f"{os.getpid():x}-{id(self):x}-{time.time_ns():x}"
-        self._clients: List[_HttpWorkerClient] = []
-        self._jobs: "queue.Queue[Optional[Job]]" = queue.Queue()
-        self._completions: "queue.Queue[Completion]" = queue.Queue()
-
-    def start(self, shared, expected_jobs=None):
-        self.epoch = f"{os.getpid():x}-{id(self):x}-{time.time_ns():x}"
-        self.shared_blob = pickle.dumps(dict(shared or {}),
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-        for host in self.hosts:
-            client = _HttpWorkerClient(self, host)
-            client.start()
-            self._clients.append(client)
-
-    def _take_job(self) -> Optional[Job]:
-        try:
-            return self._jobs.get(timeout=0.2)
-        except queue.Empty:
-            return None
-
-    def submit(self, job):
-        self._jobs.put(job)
-
-    def next_completion(self, timeout=None):
-        try:
-            return self._completions.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def alive_workers(self):
-        # A lost daemon may be restarted out-of-band, so a host keeps
-        # counting until its client gives up (max_reconnect_failures).
-        if not self._clients:
-            return len(self.hosts)
-        return len([c for c in self._clients if not c.stopping])
-
-    def stop(self, force=False):
-        for client in self._clients:
-            client.stop()
-
-
-def build_executor(name: str, *, workers: int = 2,
-                   hosts: Optional[Sequence[str]] = None) -> Executor:
+def build_executor(name: str, *, workers: int = 2) -> Executor:
     """Construct an executor by transport name (the CLI surface).
 
     Args:
         name: One of :data:`EXECUTOR_NAMES`.
-        workers: Fleet/pool size for ``local`` and ``subprocess``.
-        hosts: ``host:port`` list for ``http``.
+        workers: Pool size for ``local``.
 
     Raises:
-        DCudaUsageError: Unknown name, or ``http`` without hosts.
+        DCudaUsageError: Unknown name.
     """
     if name == "serial":
         return SerialExecutor()
     if name == "local":
         return LocalPoolExecutor(workers=workers)
-    if name == "subprocess":
-        return SubprocessWorkerExecutor(workers=workers)
-    if name == "http":
-        return HTTPWorkerExecutor(hosts or ())
     raise DCudaUsageError(
         f"unknown executor {name!r}; available: "
         f"{', '.join(EXECUTOR_NAMES)}")

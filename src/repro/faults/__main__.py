@@ -22,6 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..exec.executors import EXECUTOR_NAMES
 from .config import FaultsConfig
 from .report import (
     ChaosOutcome,
@@ -158,7 +159,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="sweep engine worker processes (default: "
                           "$REPRO_EXEC_WORKERS or 1; --sweep only)")
     rep.add_argument("--executor", type=str, default=None,
-                     choices=("serial", "local", "subprocess", "http"),
+                     choices=EXECUTOR_NAMES,
                      help="sweep executor transport (default: "
                           "$REPRO_EXEC_EXECUTOR or by worker count; "
                           "--sweep only)")

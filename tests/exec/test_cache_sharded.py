@@ -1,41 +1,21 @@
-"""Sharded-store regression tests: layout, migration, corruption.
+"""Sharded-store regression tests: layout and corruption.
 
-The non-negotiable property under test: a damaged or legacy cache can
-cost *time* (a miss and a re-run) but never *correctness* (a wrong or
-stale result served as a hit) — including every step of the
-unsharded-to-sharded migration path.
+The non-negotiable property under test: a damaged cache can cost *time*
+(a miss and a re-run) but never *correctness* (a wrong or stale result
+served as a hit).
 """
-
-import json
 
 import pytest
 
-from repro.errors import DCudaUsageError
 from repro.exec import ResultCache, RunSpec, run_specs
-from repro.exec.cache import DEFAULT_SHARDS
+from repro.exec.cache import SHARDS
 
 FP = "a" * 64
 
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache", fingerprint=FP, shards=8)
-
-
-def _legacy_put(cache, key, result):
-    """Write an entry the way the pre-sharding store did: flat in the
-    generation directory, same self-verifying format."""
-    sharded = ResultCache(cache.root, fingerprint=cache.fingerprint,
-                          shards=cache.shard_count())
-    sharded.put(key, result)
-    entry = sharded._entry_path(key)
-    legacy = cache._generation_dir() / entry.name
-    entry.rename(legacy)
-    # Drop the meta.json the helper created: a legacy cache has none.
-    meta = cache._generation_dir() / "meta.json"
-    if meta.exists():
-        meta.unlink()
-    return legacy
+    return ResultCache(tmp_path / "cache", fingerprint=FP)
 
 
 class TestShardedLayout:
@@ -50,35 +30,16 @@ class TestShardedLayout:
         assert all(name.startswith("shard-") for name in shard_dirs)
         assert len(shard_dirs) > 1  # keys actually spread out
 
-    def test_meta_json_records_shard_count(self, cache):
-        cache.put("k" * 64, 1)
-        meta = json.loads(
-            (cache._generation_dir() / "meta.json").read_text())
-        assert meta["shards"] == 8
-
-    def test_disk_shard_count_wins_over_constructor(self, cache):
-        cache.put("deadbeef" + "0" * 56, "v")
-        # Reopen with a *different* configured width: reads must agree
-        # with the width recorded on disk, not the new default.
-        reopened = ResultCache(cache.root, fingerprint=FP, shards=64)
-        assert reopened.shard_count() == 8
-        hit, value = reopened.get("deadbeef" + "0" * 56)
-        assert hit and value == "v"
-
-    def test_default_shard_count(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", fingerprint=FP)
-        cache.put("aa" + "0" * 62, 1)
-        assert cache.shard_count() == DEFAULT_SHARDS
-
-    def test_invalid_shard_count_rejected(self, tmp_path):
-        with pytest.raises(DCudaUsageError, match="shard count"):
-            ResultCache(tmp_path / "c", fingerprint=FP, shards=0)
+    def test_default_shard_count(self, cache):
+        for i in range(2 * SHARDS):
+            cache.put(f"{i:02x}{'0' * 62}", i)
+        gen = cache._generation_dir()
+        assert len([p for p in gen.iterdir() if p.is_dir()]) == SHARDS == 16
 
     def test_same_key_same_shard_across_instances(self, cache):
         key = "0123456789abcdef" * 4
         a = cache._entry_path(key)
-        b = ResultCache(cache.root, fingerprint=FP,
-                        shards=8)._entry_path(key)
+        b = ResultCache(cache.root, fingerprint=FP)._entry_path(key)
         assert a == b
 
 
@@ -104,89 +65,25 @@ class TestCorruptShardEntry:
         assert not hit and not entry.exists()
 
 
-class TestLegacyMigration:
-    def test_legacy_entry_hits_and_migrates_on_read(self, cache):
-        key = "cd" + "1" * 62
-        legacy = _legacy_put(cache, key, {"answer": 42})
-        hit, value = cache.get(key)
-        assert hit and value == {"answer": 42}
-        # The read moved the entry home: legacy gone, shard populated.
-        assert not legacy.exists()
-        assert cache._entry_path(key).exists()
-        hit, value = cache.get(key)  # …and it keeps hitting
-        assert hit and value == {"answer": 42}
-
-    def test_corrupt_legacy_entry_is_miss_and_deleted(self, cache):
-        key = "ef" + "2" * 62
-        legacy = _legacy_put(cache, key, "good")
-        legacy.write_bytes(b"rotten")
-        hit, _ = cache.get(key)
-        assert not hit and not legacy.exists()
-        assert not cache._entry_path(key).exists()  # no forged promotion
-
-    def test_bulk_migrate_moves_good_drops_bad(self, cache):
-        keys = [f"{i:02x}{'3' * 62}" for i in range(6)]
-        for i, key in enumerate(keys):
-            _legacy_put(cache, key, i)
-        bad = _legacy_put(cache, "ff" + "4" * 62, "doomed")
-        bad.write_bytes(b"bit rot")
-        migrated, dropped = cache.migrate()
-        assert migrated == 6 and dropped == 1
-        for i, key in enumerate(keys):
-            hit, value = cache.get(key)
-            assert hit and value == i
-        assert cache.stats().legacy_entries == 0
-
-    def test_legacy_cache_end_to_end_through_run_specs(self, cache):
-        """A sweep against a pre-sharding cache keeps its hits."""
-        spec = RunSpec("selftest_point", {"token": "old-world"})
-        shared_digest = ""
-        key = cache.key_for(spec, shared_digest)
-        result = {"token": "old-world", "payload": [], "mode": "echo"}
-        _legacy_put(cache, key, result)
-        report = run_specs([spec], cache=cache)
-        assert report.cache_hits == 1 and report.executed == 0
-        assert report.results == [result]
-
-    def test_migrate_missing_generation_is_noop(self, tmp_path):
-        cache = ResultCache(tmp_path / "never", fingerprint=FP)
-        assert cache.migrate() == (0, 0)
-
-
 class TestShardStats:
     def test_breakdown_covers_all_entries(self, cache):
         for i in range(12):
             cache.put(f"{i:02x}{'5' * 62}", i)
         stats = cache.stats()
-        assert stats.entries == 12 and stats.shards == 8
+        assert stats.entries == 12 and stats.shards == SHARDS
         assert sum(s.entries for s in stats.shard_breakdown) == 12
         assert sum(s.bytes for s in stats.shard_breakdown) == stats.bytes
         assert all(s.name.startswith("shard-")
                    for s in stats.shard_breakdown)
 
-    def test_legacy_entries_counted_separately(self, cache):
-        cache.put("aa" + "6" * 62, 1)
-        _legacy_put(cache, "bb" + "6" * 62, 2)
-        stats = cache.stats()
-        assert stats.entries == 2
-        assert stats.legacy_entries == 1
-
     def test_gc_reclaims_sharded_stale_generations(self, tmp_path):
-        stale = ResultCache(tmp_path / "c", fingerprint="b" * 64,
-                            shards=4)
+        stale = ResultCache(tmp_path / "c", fingerprint="b" * 64)
         for i in range(4):
             stale.put(f"{i:02x}{'7' * 62}", i)
-        live = ResultCache(tmp_path / "c", fingerprint=FP, shards=4)
+        live = ResultCache(tmp_path / "c", fingerprint=FP)
         live.put("aa" + "8" * 62, "keep")
         removed, freed = live.gc()
         assert removed == 4 and freed > 0
         assert live.stats().stale_entries == 0
         hit, _ = live.get("aa" + "8" * 62)
         assert hit
-
-    def test_clear_reclaims_everything_including_legacy(self, cache):
-        cache.put("aa" + "9" * 62, 1)
-        _legacy_put(cache, "bb" + "9" * 62, 2)
-        removed, _ = cache.clear()
-        assert removed == 2
-        assert cache.stats().entries == 0

@@ -104,60 +104,6 @@ class TestCacheMaintenance:
         assert "last sweep:" in out
         assert "done [serial]: 2/2 done" in out
 
-    def test_cache_migrate_moves_legacy_entries(self, tmp_path, capsys):
-        _run(tmp_path)
-        # Demote every sharded entry to the legacy flat layout.
-        from repro.exec import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        gen = cache._generation_dir()
-        for entry in list(gen.rglob("*.pkl")):
-            entry.rename(gen / entry.name)
-        capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir",
-                     str(tmp_path / "cache")]) == 0
-        assert "moved 2" in capsys.readouterr().out
-        # Migrated cache serves the warm replay in full.
-        assert _run(tmp_path, "--require-cached") == 0
-
-
-class TestWorkerSubcommand:
-    def test_worker_requires_a_mode(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["worker"])
-        assert exc_info.value.code == 2
-
-    def test_worker_modes_mutually_exclusive(self):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["worker", "--stdio", "--port", "0"])
-        assert exc_info.value.code == 2
-
-    @pytest.mark.slow
-    def test_stdio_worker_round_trip(self):
-        """`worker --stdio` speaks the frame protocol over its pipes."""
-        import io
-        import pickle
-
-        from repro.exec.worker import recv_frame, send_frame
-
-        request = io.BytesIO()
-        send_frame(request, {"kind": "init", "shared": pickle.dumps({})})
-        send_frame(request, {"kind": "job", "job_id": 0,
-                             "entrypoint": "selftest_point",
-                             "params": {"token": "cli"}, "label": "t"})
-        send_frame(request, {"kind": "shutdown"})
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.exec", "worker", "--stdio"],
-            input=request.getvalue(), capture_output=True, cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"),
-                 "PATH": "/usr/bin:/bin"}, timeout=60)
-        assert proc.returncode == 0, proc.stderr.decode()
-        out = io.BytesIO(proc.stdout)
-        assert recv_frame(out)["kind"] == "ready"
-        done = recv_frame(out)
-        assert done["kind"] == "done" and done["ok"]
-        assert done["value"]["token"] == "cli"
-
 
 @pytest.mark.slow
 def test_module_entry_point(tmp_path):

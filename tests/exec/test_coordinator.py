@@ -68,6 +68,33 @@ class ScriptedExecutor(Executor):
         return 1
 
 
+class SharedFatePoolExecutor(ScriptedExecutor):
+    """Two workers with one fate, like a process pool: while a job
+    labelled ``poison`` is in flight, every in-flight job is lost
+    together under one fresh worker identity."""
+
+    name = "pool"
+
+    def __init__(self):
+        super().__init__()
+        self._outbox = []
+
+    def next_completion(self, timeout=None):
+        if not self._outbox and any(j.label == "poison"
+                                    for j in self._pending):
+            self._worker_serial += 1
+            self._outbox = [Completion(j.job_id, worker_lost=True,
+                                       worker=f"gen-{self._worker_serial}")
+                            for j in self._pending]
+            self._pending.clear()
+        if self._outbox:
+            return self._outbox.pop(0)
+        return super().next_completion(timeout)
+
+    def alive_workers(self):
+        return 2
+
+
 def _specs(n, **extra):
     return [RunSpec("selftest_point", {"token": i, **extra},
                     label=f"t{i}") for i in range(n)]
@@ -104,6 +131,23 @@ class TestQuarantine:
         done = [e for e in events if e.kind == "done"]
         assert {e.label for e in done} == {"t0", "t2"}
         assert [e.kind for e in events].count("quarantine") == 1
+
+    def test_pool_crash_quarantines_only_the_poisoned_spec(self):
+        """Healthy jobs lost in the same crash as a poisoned one retry
+        alone and complete; only the poisoned spec is quarantined."""
+        specs = _specs(4)
+        specs.insert(1, RunSpec("selftest_point", {"token": "p"},
+                                label="poison"))
+        events = []
+        coord = Coordinator(SharedFatePoolExecutor(), max_attempts=3,
+                            on_event=events.append)
+        with pytest.raises(DCudaWorkerError) as exc_info:
+            coord.run(specs)
+        message = str(exc_info.value)
+        assert message.startswith("1 spec(s) quarantined"), message
+        assert "gen-1, gen-2, gen-3" in message
+        done = [e for e in events if e.kind == "done"]
+        assert {e.label for e in done} == {"t0", "t1", "t2", "t3"}
 
     def test_healthy_specs_cached_despite_quarantine(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", fingerprint="c" * 64)
@@ -187,9 +231,9 @@ class TestReport:
     def test_summary_mentions_executor_and_retries(self):
         report = SweepReport(results=[1], tasks=1, executed=1,
                              cache_hits=0, workers=2, wall_s=0.5,
-                             retries=3, executor="subprocess")
+                             retries=3, executor="local")
         text = report.summary()
-        assert "[subprocess]" in text and "retried" in text
+        assert "[local]" in text and "retried" in text
 
     def test_empty_sweep(self):
         report = Coordinator(SerialExecutor()).run([])

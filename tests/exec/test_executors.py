@@ -1,4 +1,4 @@
-"""Tests for the executor protocol and its four transports.
+"""Tests for the executor protocol and its two local transports.
 
 The protocol contract under test: an executor accepts Job submissions,
 yields Completion events in *any* order, names the worker behind each
@@ -8,7 +8,6 @@ identity — is the coordinator's job and tested separately.
 """
 
 import pickle
-import threading
 
 import pytest
 
@@ -16,14 +15,12 @@ from repro.errors import DCudaUsageError, DCudaWorkerError
 from repro.exec.executors import (
     EXECUTOR_NAMES,
     Completion,
-    HTTPWorkerExecutor,
     Job,
     LocalPoolExecutor,
     SerialExecutor,
-    SubprocessWorkerExecutor,
+    _execute_in_worker,
     build_executor,
 )
-from repro.exec.worker import run_job_payload, serve_http
 
 
 def _drain(executor, count, timeout=60.0):
@@ -45,20 +42,13 @@ class TestBuildExecutor:
     def test_names_round_trip(self):
         assert build_executor("serial").name == "serial"
         assert build_executor("local", workers=2).name == "local"
-        assert build_executor("subprocess", workers=2).name == "subprocess"
-        assert build_executor("http", hosts=["127.0.0.1:1"]).name == "http"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DCudaUsageError, match="unknown executor"):
             build_executor("carrier-pigeon")
 
-    def test_http_requires_hosts(self):
-        with pytest.raises(DCudaUsageError, match="host:port"):
-            build_executor("http")
-
     def test_names_constant_is_complete(self):
-        assert set(EXECUTOR_NAMES) == {"serial", "local", "subprocess",
-                                       "http"}
+        assert EXECUTOR_NAMES == ("serial", "local")
 
 
 class TestSerialExecutor:
@@ -143,206 +133,30 @@ class TestLocalPoolExecutor:
         assert ok.worker != gen_before  # distinct worker identity
 
 
-@pytest.mark.slow
-class TestSubprocessWorkerExecutor:
-    def test_completes_jobs_across_fleet(self):
-        with SubprocessWorkerExecutor(workers=2) as ex:
-            ex.start({"shared": 1}, expected_jobs=6)
-            assert len(ex.worker_pids()) == 2
-            for job in _echo_jobs(6):
-                ex.submit(job)
-            comps = _drain(ex, 6)
-        assert sorted(c.job_id for c in comps) == list(range(6))
-        for c in comps:
-            assert c.ok and c.worker.startswith("worker-")
-            assert c.value["payload"] == ["shared"]
-
-    def test_worker_death_reported_and_respawned(self):
-        with SubprocessWorkerExecutor(workers=1) as ex:
-            ex.start({}, expected_jobs=2)
-            ex.submit(Job(0, "selftest_point", {"mode": "exit"}, "poison"))
-            (lost,) = _drain(ex, 1)
-            assert lost.worker_lost
-            ex.submit(Job(1, "selftest_point", {"token": "alive"}))
-            (ok,) = _drain(ex, 1)
-        assert ok.ok and ok.value["token"] == "alive"
-        assert ok.worker != lost.worker  # respawn = new pid = new identity
-
-    def test_typed_error_crosses_the_pipe(self):
-        with SubprocessWorkerExecutor(workers=1) as ex:
-            ex.start({}, expected_jobs=1)
-            ex.submit(Job(0, "selftest_point",
-                          {"mode": "raise", "message": "wired"}, "t"))
-            (comp,) = _drain(ex, 1)
-        assert isinstance(comp.error, DCudaWorkerError)
-        assert "wired" in str(comp.error)
-
-
-@pytest.fixture
-def http_worker():
-    """An in-process HTTP worker daemon on an ephemeral port."""
-    server = serve_http(0, serve_forever=False)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host = f"127.0.0.1:{server.server_address[1]}"
-    yield host, server
-    state = server.worker_state
-    with state.cond:
-        state.stopping = True
-        state.cond.notify_all()
-    server.shutdown()
-    server.server_close()
-
-
-class TestHTTPWorkerExecutor:
-    def test_completes_jobs_via_daemon(self, http_worker):
-        host, _ = http_worker
-        ex = HTTPWorkerExecutor([host], poll_wait=0.2)
-        ex.start({"k": 1}, expected_jobs=3)
-        try:
-            for job in _echo_jobs(3):
-                ex.submit(job)
-            comps = _drain(ex, 3)
-        finally:
-            ex.stop()
-        assert sorted(c.job_id for c in comps) == [0, 1, 2]
-        for c in comps:
-            assert c.ok and c.worker == f"http:{host}"
-            assert c.value["payload"] == ["k"]
-
-    def test_unreachable_daemon_reports_worker_lost_not_hang(self):
-        ex = HTTPWorkerExecutor(["127.0.0.1:1"], poll_wait=0.1,
-                                reconnect_interval=0.01,
-                                max_reconnect_failures=3)
-        ex.start({}, expected_jobs=1)
-        try:
-            ex.submit(Job(0, "selftest_point", {}))
-            deadline = 50
-            while ex.alive_workers() > 0 and deadline:
-                deadline -= 1
-                import time
-                time.sleep(0.1)
-            assert ex.alive_workers() == 0  # gave up typed, not hung
-        finally:
-            ex.stop()
-
-    def test_stale_frames_from_dead_session_never_credited(
-            self, http_worker):
-        """Daemon reuse across sweeps: a straggler frame left by a
-        previous sweep (same job_id space!) must not be recorded as
-        this sweep's result — epoch tags fence it off."""
-        host, server = http_worker
-        state = server.worker_state
-        # A dead session's unpolled result, colliding on job_id 0.
-        with state.cond:
-            state.finished.append({"kind": "done", "job_id": 0,
-                                   "ok": True, "value": {"token": "STALE"},
-                                   "epoch": "dead-session"})
-            state.cond.notify_all()
-        ex = HTTPWorkerExecutor([host], poll_wait=0.2)
-        ex.start({}, expected_jobs=1)
-        try:
-            ex.submit(Job(0, "selftest_point", {"token": "fresh"}))
-            (comp,) = _drain(ex, 1)
-        finally:
-            ex.stop()
-        assert comp.ok and comp.value["token"] == "fresh"
-
-    def test_init_clears_dead_session_state(self, http_worker):
-        """POST /init starts a session: stale queue + outbox dropped."""
-        host, server = http_worker
-        state = server.worker_state
-        with state.cond:
-            state.finished.append({"kind": "done", "job_id": 9,
-                                   "ok": True, "value": "old",
-                                   "epoch": "dead"})
-        state.reset({"fresh": True})
-        with state.cond:
-            assert state.finished == [] and state.jobs == []
-            assert state.shared == {"fresh": True}
-
-    def test_daemon_stats_route(self, http_worker):
-        host, server = http_worker
-        ex = HTTPWorkerExecutor([host], poll_wait=0.2)
-        ex.start({}, expected_jobs=1)
-        try:
-            ex.submit(Job(0, "selftest_point", {"token": "t"}))
-            _drain(ex, 1)
-        finally:
-            ex.stop()
-        import http.client
-
-        hostname, _, port = host.partition(":")
-        conn = http.client.HTTPConnection(hostname, int(port), timeout=5)
-        conn.request("GET", "/stats")
-        stats = pickle.loads(conn.getresponse().read())
-        conn.close()
-        assert stats["served"] == 1
-
-
 class TestWorkerPayload:
-    """run_job_payload: every outcome must cross the wire typed."""
+    """The pool's task body: every outcome must cross the pipe typed."""
 
-    def _job(self, **params):
-        return {"kind": "job", "job_id": 7, "entrypoint": "selftest_point",
-                "params": params, "label": "t"}
+    def _run(self, entrypoint="selftest_point", **params):
+        return _execute_in_worker(entrypoint, params, "t")
 
     def test_success_frame(self):
-        frame = run_job_payload(self._job(token="x"), {"s": 1})
-        assert frame["ok"] and frame["job_id"] == 7
-        assert frame["value"]["token"] == "x"
+        assert self._run(token="x")["token"] == "x"
 
     def test_untyped_exception_wrapped_with_traceback(self):
-        frame = run_job_payload(self._job(mode="raise", message="deep"),
-                                {})
-        assert not frame["ok"]
-        assert isinstance(frame["error"], DCudaWorkerError)
-        assert "deep" in str(frame["error"])
-        assert "Traceback" in str(frame["error"])
+        with pytest.raises(DCudaWorkerError) as exc_info:
+            self._run(mode="raise", message="deep")
+        assert "deep" in str(exc_info.value)
+        assert "Traceback" in str(exc_info.value)
 
     def test_typed_error_passes_through(self):
-        job = {"kind": "job", "job_id": 1, "entrypoint": "no_such_point",
-               "params": {}, "label": "t"}
-        frame = run_job_payload(job, {})
-        assert not frame["ok"]
-        assert isinstance(frame["error"], DCudaUsageError)
+        with pytest.raises(DCudaUsageError):
+            self._run("no_such_point")
 
     def test_frame_is_picklable_even_for_weird_errors(self):
-        frame = run_job_payload(self._job(mode="raise", message="x"), {})
-        assert pickle.loads(pickle.dumps(frame))
-
-
-class TestFrameProtocol:
-    def test_round_trip(self, tmp_path):
-        from repro.exec.worker import recv_frame, send_frame
-
-        path = tmp_path / "pipe"
-        with open(path, "wb") as w:
-            send_frame(w, {"kind": "job", "n": 1})
-            send_frame(w, {"kind": "shutdown"})
-        with open(path, "rb") as r:
-            assert recv_frame(r) == {"kind": "job", "n": 1}
-            assert recv_frame(r) == {"kind": "shutdown"}
-            assert recv_frame(r) is None  # clean EOF
-
-    def test_truncated_payload_raises_eof(self, tmp_path):
-        from repro.exec.worker import recv_frame, send_frame
-
-        path = tmp_path / "pipe"
-        with open(path, "wb") as w:
-            send_frame(w, {"kind": "job", "blob": "x" * 100})
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-10])
-        with open(path, "rb") as r, pytest.raises(EOFError):
-            recv_frame(r)
-
-    def test_absurd_length_header_raises_eof(self, tmp_path):
-        from repro.exec.worker import recv_frame
-
-        path = tmp_path / "pipe"
-        path.write_bytes(b"\xff\xff\xff\xff")
-        with open(path, "rb") as r, pytest.raises(EOFError):
-            recv_frame(r)
+        with pytest.raises(DCudaWorkerError) as exc_info:
+            self._run(mode="raise", message="x")
+        again = pickle.loads(pickle.dumps(exc_info.value))
+        assert str(again) == str(exc_info.value)
 
 
 def test_completion_shapes():
@@ -350,3 +164,33 @@ def test_completion_shapes():
     lost = Completion(2, worker="w", worker_lost=True)
     assert ok.ok and not ok.worker_lost
     assert not lost.ok and lost.worker_lost and lost.error is None
+
+
+@pytest.mark.parametrize("surface", ["run_specs", "env", "exec-cli",
+                                     "faults-cli"])
+@pytest.mark.parametrize("name", ["subprocess", "http"])
+def test_removed_transports_rejected(name, surface, monkeypatch):
+    """The retired remote transports fail typed on every surface: a
+    usage error naming the two local transports from the library, exit
+    status 2 from the command lines."""
+    from repro.exec import RunSpec, run_specs
+
+    specs = [RunSpec("selftest_point", {"token": 0})]
+    if surface in ("run_specs", "env"):
+        if surface == "env":
+            monkeypatch.setenv("REPRO_EXEC_EXECUTOR", name)
+            kwargs = {}
+        else:
+            kwargs = {"executor": name}
+        with pytest.raises(DCudaUsageError, match="serial, local"):
+            run_specs(specs, **kwargs)
+        return
+    if surface == "exec-cli":
+        from repro.exec.__main__ import main
+        argv = ["run", "fig6", "--executor", name]
+    else:
+        from repro.faults.__main__ import main
+        argv = ["report", "--executor", name]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2

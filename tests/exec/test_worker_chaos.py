@@ -1,14 +1,16 @@
-"""Worker-loss chaos fuzz: kill real workers mid-campaign, digest holds.
+"""Worker-loss chaos fuzz: kill real pool workers mid-campaign.
 
-The tentpole's hard invariant, attacked with real process murder: over
-``FUZZ_ROUNDS`` seeded rounds, K random subprocess workers are
+The sweep engine's hard invariant, attacked with real process murder:
+over ``FUZZ_ROUNDS`` seeded rounds, K random
+:class:`~repro.exec.executors.LocalPoolExecutor` worker processes are
 SIGKILLed while a campaign runs, and the merged digest must equal the
 serial digest *every* time — retry-on-worker-loss is allowed to cost
 wall-clock, never bits.  The quarantine rule gets the complementary
 treatment: a spec that hard-kills its worker on every dispatch must
 surface as exactly one typed :class:`~repro.errors.DCudaWorkerError`
-after the healthy remainder of the sweep completes — quarantine, not a
-hang, and not N cascading failures.
+naming three distinct pool generations, after the healthy remainder of
+the sweep completes — quarantine, not a hang, and not N cascading
+failures.
 """
 
 import os
@@ -20,7 +22,7 @@ import pytest
 
 from repro.errors import DCudaWorkerError
 from repro.exec import RunSpec, canonical_digest, run_specs
-from repro.exec.executors import SubprocessWorkerExecutor
+from repro.exec.executors import LocalPoolExecutor
 
 #: Seeded fuzz rounds (the satellite demands >= 20).
 FUZZ_ROUNDS = 20
@@ -75,7 +77,7 @@ class TestWorkerLossFuzz:
         want = _serial_digest()
         for seed in range(FUZZ_ROUNDS):
             rng = random.Random(seed)
-            ex = SubprocessWorkerExecutor(workers=3)
+            ex = LocalPoolExecutor(workers=3)
             stop = threading.Event()
             assassin = threading.Thread(
                 target=_kill_workers_mid_campaign,
@@ -90,7 +92,7 @@ class TestWorkerLossFuzz:
                 ex.stop(force=True)
             assert _digest(report.results) == want, \
                 f"digest diverged under worker loss (seed {seed})"
-            assert report.executor == "subprocess"
+            assert report.executor == "local"
 
     def test_retries_are_reported_when_kills_land(self):
         """At least one fuzz round should actually exercise the retry
@@ -100,7 +102,7 @@ class TestWorkerLossFuzz:
         rng = random.Random(1234)
         total_retries = 0
         for _ in range(5):
-            ex = SubprocessWorkerExecutor(workers=3)
+            ex = LocalPoolExecutor(workers=3)
             stop = threading.Event()
             assassin = threading.Thread(
                 target=_kill_workers_mid_campaign,
@@ -127,15 +129,16 @@ class TestPoisonedSpecQuarantine:
                          label=f"healthy-{i}") for i in range(4)]
         specs.insert(2, RunSpec("selftest_point", {"mode": "exit"},
                                 label="poison-pill", cacheable=False))
-        ex = SubprocessWorkerExecutor(workers=2)
+        ex = LocalPoolExecutor(workers=2)
         with pytest.raises(DCudaWorkerError) as exc_info:
             run_specs(specs, workers=2, executor=ex, max_attempts=3)
         message = str(exc_info.value)
-        assert "quarantined" in message and "poison-pill" in message
-        # Three *distinct* worker identities took the hit.
+        assert message.startswith("1 spec(s) quarantined"), message
+        assert "poison-pill" in message
+        # Three *distinct* pool generations took the hit.
         import re
 
-        workers = re.findall(r"worker-\d+-pid\d+", message)
+        workers = re.findall(r"pool-gen\d+", message)
         assert len(workers) == 3 and len(set(workers)) == 3, message
         assert exc_info.value.code == "DCUDA_WORKER"
 
@@ -144,6 +147,6 @@ class TestPoisonedSpecQuarantine:
         cleanly — the executor/quarantine state does not leak."""
         healthy = [RunSpec("selftest_point", {"token": i},
                            label=f"h{i}") for i in range(3)]
-        report = run_specs(healthy, workers=2, executor="subprocess")
+        report = run_specs(healthy, workers=2, executor="local")
         assert [r["token"] for r in report.results] == [0, 1, 2]
         assert report.retries == 0
