@@ -16,6 +16,12 @@ Run modes isolate the two phases for the overlap-efficiency measurement
 (the Fig. 7/8 methodology): ``both`` runs the full pipeline,
 ``compute`` multiplies preloaded tiles without any traffic, ``stream``
 moves the traffic without multiplying.
+
+The host operands are staged once per launch: :func:`run_gemm_pipeline`
+draws ``W`` and ``X`` a single time, marks them read-only and hands
+every rank the same arrays; a worker multiplies a row-block view of the
+shared ``W``.  :func:`gemm_reference` redraws both from the seed, so the
+check shares no state with the run it checks.
 """
 
 from __future__ import annotations
@@ -91,6 +97,11 @@ def _inputs(wl: GemmWorkload) -> np.ndarray:
         (wl.k, wl.batch))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def gemm_reference(wl: GemmWorkload, workers: int) -> np.ndarray:
     """The serial answer ``W @ X``, computed per (row block, tile) in
     stream order — the exact operation sequence the workers run, so the
@@ -117,6 +128,7 @@ def overlap_efficiency(both: float, compute: float, stream: float) -> float:
 
 
 def _gemm_kernel(rank: DRank, wl: GemmWorkload, mode: str, algorithm: str,
+                 w: Optional[np.ndarray], x: np.ndarray,
                  ybufs: Dict[int, np.ndarray], stats: Dict[int, dict]):
     p = rank.comm_size()
     r = rank.world_rank
@@ -124,9 +136,9 @@ def _gemm_kernel(rank: DRank, wl: GemmWorkload, mode: str, algorithm: str,
     nw = len(workers)
     bt = wl.batch // wl.tiles
     tile_elems = wl.k * bt
-    x = _inputs(wl)
     stream = mode in ("both", "stream")
     compute = mode in ("both", "compute")
+    gathers = mode == "both" and r != 0 and nw > 1
 
     slots = wl.slots
     xbuf = np.zeros(slots * tile_elems)
@@ -136,7 +148,10 @@ def _gemm_kernel(rank: DRank, wl: GemmWorkload, mode: str, algorithm: str,
     xwin = yield from rank.win_create(xbuf)
     ackwin = yield from rank.win_create(ack)
     ywin = yield from rank.win_create(ybuf)
-    swin = yield from rank.win_create(np.zeros(scratch_elems(max(nw, 1), n)))
+    # Window creation is collective, so every rank registers a scratch
+    # window, but only the gathering workers ever touch theirs.
+    swin = yield from rank.win_create(
+        np.zeros(scratch_elems(nw, n) if gathers else 1))
     yield from rank.barrier()
     t0 = rank.now
 
@@ -164,7 +179,7 @@ def _gemm_kernel(rank: DRank, wl: GemmWorkload, mode: str, algorithm: str,
     else:
         idx = workers.index(r)
         rows = wl.m // nw
-        wblock = _weights(wl)[idx * rows:(idx + 1) * rows, :]
+        wblock = w[idx * rows:(idx + 1) * rows, :] if compute else None
         yview = ybuf.reshape(wl.m, wl.batch)
         # The weight block stays device-resident across tiles; each tile
         # streams its operands in and the output block out.
@@ -195,7 +210,7 @@ def _gemm_kernel(rank: DRank, wl: GemmWorkload, mode: str, algorithm: str,
     # The gather is timed apart from the pipeline: it is a bulk
     # collective over the finished Y, not part of the overlap window.
     gather = 0.0
-    if mode == "both" and r != 0 and nw > 1:
+    if gathers:
         t1 = rank.now
         yield from all_gather(rank, ywin, swin, workers, ybuf,
                               algorithm=algorithm, tag_base=TAG_GATHER)
@@ -234,11 +249,14 @@ def run_gemm_pipeline(cluster: Cluster, wl: GemmWorkload,
                          f"expected one of {MODES}")
     total = cluster.platform.place(ranks_per_device).total_ranks
     wl.validate(total - 1)
+    # Nothing multiplies in stream mode, so W is not even drawn there.
+    w = _read_only(_weights(wl)) if mode != "stream" else None
+    x = _read_only(_inputs(wl))
     ybufs = {r: np.zeros(wl.m * wl.batch) for r in range(total)}
     stats: Dict[int, dict] = {}
     launch(cluster, _gemm_kernel, ranks_per_device,
            kernel_args={"wl": wl, "mode": mode, "algorithm": algorithm,
-                        "ybufs": ybufs, "stats": stats})
+                        "w": w, "x": x, "ybufs": ybufs, "stats": stats})
     loops = sorted(stats[r]["loop"] for r in range(1, total))
     elapsed = loops[len(loops) // 2]
     y: Optional[np.ndarray] = None

@@ -161,7 +161,8 @@ def run_train_step(cluster: Cluster, wl: TrainWorkload,
         choice = autotune_step(cluster, wl, ranks_per_device, override)
         algorithm = choice.algorithm
     total = cluster.platform.place(ranks_per_device).total_ranks
-    weights = {r: _init_weights(wl) for r in range(total)}
+    w0 = _init_weights(wl)
+    weights = {r: w0.copy() for r in range(total)}
     stats: Dict[int, dict] = {}
     launch(cluster, _train_kernel, ranks_per_device,
            kernel_args={"wl": wl, "algorithm": algorithm,

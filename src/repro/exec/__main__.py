@@ -18,9 +18,12 @@ of the same suite at the same source fingerprint must print the same
 digest regardless of executor, worker count, completion order, cache
 state, or worker deaths survived along the way.
 
-``--require-cached`` exits with status 3 unless *every* cacheable task
-was served from the cache — CI uses it to assert that a warm replay does
-zero simulation work.
+``run`` exits with status 1, naming the failing labels, when any point
+reports a failed in-process verification (``ok: False`` — the ml
+suite's bit-identity and ``allclose`` checks).  ``--require-cached``
+exits with status 3 unless *every* cacheable task was served from the
+cache — CI uses it to assert that a warm replay does zero simulation
+work.
 
 Examples::
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Mapping, Optional
 
 from ..errors import DCudaError
 from .cache import DEFAULT_CACHE_DIR, ResultCache
@@ -50,8 +53,16 @@ from .suites import SUITE_NAMES, build_suite
 
 __all__ = ["main"]
 
+#: Exit status when a point's in-process verification failed.
+EXIT_CHECK_FAILED = 1
 #: Exit status for ``--require-cached`` violations (2 is argparse's).
 EXIT_NOT_CACHED = 3
+
+
+def _failed_labels(specs, results) -> list:
+    """Labels of the points whose result carries ``ok: False``."""
+    return [spec.describe() for spec, result in zip(specs, results)
+            if isinstance(result, Mapping) and result.get("ok") is False]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -190,6 +201,11 @@ def _cmd_run(args) -> int:
         print(f"record: {path}")
     print(f"results digest: {digest[:16]}")
 
+    failed = _failed_labels(suite.specs, report.results)
+    if failed:
+        print(f"verification FAILED for {len(failed)} point(s): "
+              + ", ".join(failed), file=sys.stderr)
+        return EXIT_CHECK_FAILED
     if args.require_cached:
         cacheable = sum(1 for s in suite.specs if s.cacheable)
         served = report.cache_hits + report.dedup_hits

@@ -286,6 +286,8 @@ def _ml_suite(kinds: Sequence[str], nodes: int, gpus: int,
                     label=f"ml-train:{backend}:{kind}:{features}"))
 
     def assemble(results):
+        from ..apps.gemm_stream import overlap_efficiency
+
         ranks = nodes * gpus
         coll = Table(f"ML collectives - allreduce latency "
                      f"({_ML_ELEMS} float64, {ranks} ranks)",
@@ -294,7 +296,8 @@ def _ml_suite(kinds: Sequence[str], nodes: int, gpus: int,
         gemm_t = Table("Pipelined GEMM - overlap decomposition "
                        "(median worker loop)",
                        ["backend", "topology", "both [us]",
-                        "compute [us]", "stream [us]", "efficiency"])
+                        "compute [us]", "stream [us]", "efficiency",
+                        "exact"])
         train = Table("Autotuned data-parallel SGD step",
                       ["backend", "topology", "features", "chosen",
                        "predicted [us]", "measured [us]", "verified"])
@@ -310,12 +313,13 @@ def _ml_suite(kinds: Sequence[str], nodes: int, gpus: int,
                 both, comp, stream = results[i], results[i + 1], \
                     results[i + 2]
                 i += 3
-                eff = ((comp["elapsed"] + stream["elapsed"]
-                        - both["elapsed"]) / stream["elapsed"]
-                       if stream["elapsed"] > 0 else 0.0)
+                eff = overlap_efficiency(both["elapsed"],
+                                         comp["elapsed"],
+                                         stream["elapsed"])
                 gemm_t.add_row(backend, kind, both["elapsed"] * 1e6,
                                comp["elapsed"] * 1e6,
-                               stream["elapsed"] * 1e6, eff)
+                               stream["elapsed"] * 1e6, eff,
+                               "yes" if both["ok"] else "NO")
                 for features in _ML_FEATURES:
                     r = results[i]
                     i += 1

@@ -4,12 +4,25 @@ import json
 
 import pytest
 
+import repro.apps.gemm_stream as gemm_stream
+from repro.apps.gemm_stream import GemmWorkload, run_gemm_pipeline
 from repro.errors import DCudaUsageError
 from repro.exec.__main__ import main
-from repro.exec.points import collective_point, gemm_point, train_point
+from repro.exec.points import (_ml_cluster, collective_point, gemm_point,
+                               train_point)
 from repro.exec.suites import build_suite
 
 TINY = dict(kind="flat", num_nodes=2, gpus_per_node=1)
+#: Small fat tree (2 nodes x 2 GPUs) whose simulated ML results are
+#: pinned exactly below, so a moved timestamp fails tier-1.
+SMALL_FAT_TREE = dict(kind="fat_tree", num_nodes=2, gpus_per_node=2)
+SMALL_GEMM = dict(m=24, k=6, batch=8, tiles=4)
+#: ``(elapsed, gather, ok)`` of ``gemm_point`` per mode on SMALL_FAT_TREE.
+GEMM_PINNED = {
+    "both": (3.450061632287e-05, 2.3689192099496422e-05, True),
+    "compute": (3.3004484304932852e-06, 0.0, True),
+    "stream": (3.202528000000004e-05, 0.0, True),
+}
 
 
 class TestBuildSuite:
@@ -59,11 +72,19 @@ class TestEntrypoints:
             collective_point(dict(TINY, op="scan", elems=4), {})
 
     def test_gemm_point_bit_identity_in_both_mode(self):
-        result = gemm_point(
-            dict(kind="fat_tree", num_nodes=2, gpus_per_node=2,
-                 mode="both", m=24, k=6, batch=8, tiles=4), {})
+        result = gemm_point(dict(SMALL_FAT_TREE, mode="both",
+                                 **SMALL_GEMM), {})
         assert result["ok"]
         assert result["elapsed"] > 0 and result["gather"] > 0
+        assert (result["elapsed"], result["gather"],
+                result["ok"]) == GEMM_PINNED["both"]
+
+    @pytest.mark.parametrize("mode", ("compute", "stream"))
+    def test_gemm_point_exact_per_mode(self, mode):
+        result = gemm_point(dict(SMALL_FAT_TREE, mode=mode,
+                                 **SMALL_GEMM), {})
+        assert (result["elapsed"], result["gather"],
+                result["ok"]) == GEMM_PINNED[mode]
 
     def test_gemm_point_stream_mode_skips_verification(self):
         result = gemm_point(dict(TINY, mode="stream", m=8, k=6,
@@ -71,14 +92,22 @@ class TestEntrypoints:
         assert result["ok"] and result["gather"] == 0.0
 
     def test_train_point_autotunes_and_verifies(self):
-        result = train_point(
-            dict(kind="fat_tree", num_nodes=2, gpus_per_node=2,
-                 features=64, steps=2, algorithm="auto"), {})
+        result = train_point(dict(SMALL_FAT_TREE, features=64, steps=2,
+                                  algorithm="auto"), {})
         assert result["ok"]
         # On 2 nodes hierarchical pays fewer inter-node latency terms
         # than tree (2 vs 4), so it wins even for a small gradient.
         assert result["algorithm"] == "hierarchical"
         assert result["predicted"] > 0
+        assert result["elapsed"] == 8.191777688536733e-05
+
+    def test_train_point_exact_on_large_gradient(self):
+        result = train_point(dict(SMALL_FAT_TREE, features=65536,
+                                  steps=2, algorithm="auto"), {})
+        assert result == {"elapsed": 0.0029775356906160478,
+                          "algorithm": "hierarchical",
+                          "predicted": 0.00012731285333333333,
+                          "ok": True}
 
     def test_train_point_pinned_algorithm_has_no_prediction(self):
         result = train_point(dict(TINY, features=16, steps=1,
@@ -117,3 +146,61 @@ def test_ml_results_are_cacheable(tmp_path, capsys):
     warm = json.loads((tmp_path / "sweep.json").read_text())
     assert warm["results_digest"] == cold["results_digest"]
     assert warm["cache_hits"] == warm["tasks"]
+
+
+def test_cli_exits_nonzero_on_failed_verification(capsys, monkeypatch):
+    real = gemm_stream.gemm_reference
+
+    def perturbed(wl, workers):
+        y = real(wl, workers)
+        y[0, 0] += 1.0
+        return y
+
+    monkeypatch.setattr(gemm_stream, "gemm_reference", perturbed)
+    rc = main(["run", "ml", "--topology", "flat", "--topo-nodes", "2",
+               "--topo-gpus", "1", "--executor", "serial", "--no-cache",
+               "--no-json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "NO" in captured.out
+    assert "ml-gemm:proxy:flat:both" in captured.err
+    # Only the perturbed GEMM check failed.
+    assert "ml-train" not in captured.err
+    assert "ml-coll" not in captured.err
+
+
+class TestHostOperandStaging:
+    """The GEMM operands are drawn once per launch, shared read-only."""
+
+    #: The ml suite's 8-rank shape: 7 workers x 2048 rows.
+    SHAPE = dict(kind="fat_tree", num_nodes=4, gpus_per_node=2)
+    WL = GemmWorkload(m=7 * 2048, k=96, batch=32, tiles=8, slots=4)
+
+    @pytest.mark.parametrize("mode,max_draws", (("both", 1),
+                                                ("compute", 1),
+                                                ("stream", 0)))
+    def test_weights_drawn_at_most_once(self, monkeypatch, mode,
+                                        max_draws):
+        draws = []
+        real = gemm_stream._weights
+
+        def counting(wl):
+            draws.append(wl)
+            return real(wl)
+
+        monkeypatch.setattr(gemm_stream, "_weights", counting)
+        run_gemm_pipeline(_ml_cluster(self.SHAPE), self.WL, mode=mode)
+        assert len(draws) <= max_draws
+
+    def test_kernel_cannot_write_shared_weights(self, monkeypatch):
+        real = gemm_stream._gemm_kernel
+
+        def writing_kernel(rank, w, **kwargs):
+            if rank.world_rank == 1:
+                w[0, 0] = 0.0
+            return (yield from real(rank, w=w, **kwargs))
+
+        monkeypatch.setattr(gemm_stream, "_gemm_kernel", writing_kernel)
+        with pytest.raises(ValueError, match="read-only"):
+            run_gemm_pipeline(_ml_cluster(SMALL_FAT_TREE),
+                              GemmWorkload(**SMALL_GEMM), mode="compute")
