@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.apps import diffusion
 from repro.apps.diffusion import (
+    ARRAYS,
     DiffusionWorkload,
     reference,
     run_dcuda_diffusion,
@@ -75,3 +77,129 @@ def test_workload_validation():
     wl = small_wl(nj_per_device=2)
     with pytest.raises(ValueError):
         run_dcuda_diffusion(Cluster(greina(1)), wl, ranks_per_device=4)
+
+
+def test_field_cache_keeps_only_latest_node_count():
+    """The pristine-field cache holds one field: the three requests of a
+    weak-scaling point share a key, and older fields would stay alive."""
+    from repro.apps import diffusion
+
+    wl = small_wl()
+    diffusion.initial_field(wl, 1)
+    diffusion.initial_field(wl, 2)
+    assert list(diffusion._field_cache) == [(wl, 2)]
+    np.testing.assert_array_equal(diffusion.initial_field(wl, 1),
+                                  diffusion.initial_field(wl, 1))
+    assert list(diffusion._field_cache) == [(wl, 1)]
+
+
+# --------------------------------------------- stage kernels, bit for bit ---
+# The plain expression form of each stage, written independently of the
+# kernels (reference() shares the kernels with both variants, so only this
+# comparison catches a kernel bug).  Each writes exactly its stage's region.
+COEFF = 0.025
+
+
+def naive_lap(f, j0, j1):
+    inp = f["inp"]
+    f["lap"][:, j0:j1, 1:-1] = (inp[:, j0:j1, 1:-1] * 4.0
+                                - inp[:, j0:j1, 2:] - inp[:, j0:j1, :-2]
+                                - inp[:, j0 + 1:j1 + 1, 1:-1]
+                                - inp[:, j0 - 1:j1 - 1, 1:-1])
+
+
+def naive_flx(f, j0, j1):
+    inp, lap = f["inp"], f["lap"]
+    flux = lap[:, j0:j1, 1:] - lap[:, j0:j1, :-1]
+    d = inp[:, j0:j1, 1:] - inp[:, j0:j1, :-1]
+    f["flx"][:, j0:j1, :-1] = np.where(flux * d > 0, 0.0, flux)
+
+
+def naive_fly(f, j0, j1):
+    inp, lap = f["inp"], f["lap"]
+    flux = lap[:, j0 + 1:j1 + 1, :] - lap[:, j0:j1, :]
+    d = inp[:, j0 + 1:j1 + 1, :] - inp[:, j0:j1, :]
+    f["fly"][:, j0:j1, :] = np.where(flux * d > 0, 0.0, flux)
+
+
+def naive_out(f, j0, j1):
+    inp, flx, fly = f["inp"], f["flx"], f["fly"]
+    div = (flx[:, j0:j1, 1:-1] - flx[:, j0:j1, :-2] + fly[:, j0:j1, 1:-1]
+           - fly[:, j0 - 1:j1 - 1, 1:-1])
+    f["out"][:, j0:j1, 1:-1] = inp[:, j0:j1, 1:-1] - div * COEFF
+
+
+#: stage -> (written field, kernel call, naive form, written columns)
+STAGES = {
+    "lap": ("lap", lambda f, j0, j1: diffusion._stage_lap(
+        f["inp"], f["lap"], j0, j1), naive_lap, slice(1, -1)),
+    "flx": ("flx", lambda f, j0, j1: diffusion._stage_flx(
+        f["inp"], f["lap"], f["flx"], j0, j1), naive_flx, slice(0, -1)),
+    "fly": ("fly", lambda f, j0, j1: diffusion._stage_fly(
+        f["inp"], f["lap"], f["fly"], j0, j1), naive_fly, slice(None)),
+    "out": ("out", lambda f, j0, j1: diffusion._stage_out(
+        f["inp"], f["flx"], f["fly"], f["out"], COEFF, j0, j1),
+        naive_out, slice(1, -1)),
+}
+
+
+def stage_fields(stage, nk=7, nj=8, ni=9):
+    """Fields as the program holds them, plus NaN, inf and zero cells: the
+    columns no stage writes are zero in the field a stage writes (lap's
+    boundary columns, flx's last column), while inp and out carry non-zero
+    boundary columns (initial-field values, by swap parity).  Fields a
+    stage only reads are random everywhere."""
+    rng = np.random.default_rng(11)
+    f = {name: rng.standard_normal((nk, nj + 2, ni)) for name in ARRAYS}
+    if stage == "lap":
+        f["lap"][:, :, [0, -1]] = 0.0
+    f["flx"][:, :, -1] = 0.0
+    for name, arr in f.items():
+        cells = rng.random(arr.shape)
+        interior = np.zeros(arr.shape, dtype=bool)
+        interior[:, :, 1:-1] = True
+        if name in ("inp", "out", "fly"):
+            interior[:] = True
+        # Signed zeros make equal neighbours, so the limiter sees d == 0.
+        arr[(cells > 0.4) & (cells < 0.5) & interior] = 0.0
+        arr[(cells > 0.5) & (cells < 0.55) & interior] = -0.0
+        arr[(cells < 0.03) & interior] = np.nan
+        arr[(cells > 0.97) & interior] = np.inf
+        arr[(cells > 0.985) & interior] = -np.inf
+    return f
+
+
+def bits(a):
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("blocks", ["default", "ragged"])
+@pytest.mark.parametrize("rows", [(3, 4), (3, 5), (3, 6), (1, 9)],
+                         ids=["1row", "2rows", "3rows", "device"])
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_stage_matches_naive_form_bit_for_bit(stage, rows, blocks,
+                                              monkeypatch):
+    """Each kernel matches the expression form byte for byte, over one or
+    several k-blocks, and leaves every cell it does not own as it was."""
+    j0, j1 = rows
+    field, kernel, naive, cols = STAGES[stage]
+    f = stage_fields(stage)
+    if blocks == "ragged":
+        # kb = 2 k-levels per block: blocks of 2, 2, 2 and 1 over nk = 7.
+        monkeypatch.setattr(diffusion, "_BLOCK", 2 * (j1 - j0) * 9)
+    expected = {name: a.copy() for name, a in f.items()}
+    before = {name: a.copy() for name, a in f.items()}
+    with np.errstate(all="ignore"):
+        kernel(f, j0, j1)
+        naive(expected, j0, j1)
+    for name in ARRAYS:
+        assert np.array_equal(bits(f[name]), bits(expected[name])), name
+    # Every cell outside the write region (seams, boundary columns, other
+    # rows, other fields) is byte-identical to before the call.
+    outside = np.ones(f[field].shape, dtype=bool)
+    outside[:, j0:j1, cols] = False
+    assert np.array_equal(bits(f[field])[outside],
+                          bits(before[field])[outside])
+    for name in ARRAYS:
+        if name != field:
+            assert np.array_equal(bits(f[name]), bits(before[name])), name

@@ -63,3 +63,56 @@ def test_driver_verify_false_skips_reference():
                                  ranks_per_device=2, nblocks=4,
                                  verify=False)
     assert len(table.rows) == 1
+
+
+def _stencil_point(ws):
+    wl = DiffusionWorkload(ni=8, nj_per_device=6, nk=2, steps=2)
+    return ws.scaling_point("stencil", 1, wl=wl, ranks_per_device=2,
+                            nblocks=4)
+
+
+def test_bit_exact_outputs_skip_the_tolerance_check(monkeypatch):
+    """Both variants reproduce the reference bit for bit, so the point
+    never pays for assert_allclose."""
+    import repro.bench.weak_scaling as ws
+
+    calls = []
+    monkeypatch.setattr(np.testing, "assert_allclose",
+                        lambda *a, **k: calls.append(k))
+    _stencil_point(ws)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scale,raises", [(1 + 1e-6, True),
+                                          (float("nan"), True),
+                                          (1 + 1e-12, False)],
+                         ids=["beyond-rtol", "nan", "within-rtol"])
+def test_inexact_outputs_take_the_tolerance_check(monkeypatch, scale,
+                                                  raises):
+    """A reference that differs in one cell sends both outputs through
+    assert_allclose, which still decides pass or fail."""
+    import repro.bench.weak_scaling as ws
+
+    original = ws.diffusion_reference
+
+    def perturbed(*a, **k):
+        ref = original(*a, **k)
+        ref[0, 0, 1] *= scale
+        return ref
+
+    real = np.testing.assert_allclose
+    calls = []
+
+    def spy(*a, **k):
+        calls.append(k)
+        return real(*a, **k)
+
+    monkeypatch.setattr(ws, "diffusion_reference", perturbed)
+    monkeypatch.setattr(np.testing, "assert_allclose", spy)
+    if raises:
+        with pytest.raises(AssertionError):
+            _stencil_point(ws)
+        assert len(calls) == 1
+    else:
+        _stencil_point(ws)
+        assert calls == [dict(rtol=1e-9, atol=0.0)] * 2
