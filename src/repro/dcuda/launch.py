@@ -70,40 +70,47 @@ def launch(cluster: Union[Cluster, MachineConfig], kernel: Callable[..., Any],
         cluster = Cluster(cluster)
     faults = getattr(cluster, "faults", None)
     runtime = DCudaRuntime(cluster, ranks_per_device)
-    runtime.start()
-    args = kernel_args or {}
-    t0 = cluster.env._now
-    procs = []
-    for world_rank in range(runtime.total_ranks):
-        drank = DRank(runtime, world_rank)
-        procs.append(cluster.env.process(kernel(drank, **args),
-                                         name=f"kernel:r{world_rank}"))
-    if faults is not None and faults.cfg.watchdog > 0:
-        drained = cluster.env.run_watchdog(t0 + faults.cfg.watchdog)
-        if not drained:
-            unfinished = [p.name for p in procs if not p.triggered]
-            raise DCudaTimeoutError(
-                f"watchdog: simulated time exceeded "
-                f"{faults.cfg.watchdog:.3e}s with "
-                f"{len(unfinished)} rank(s) unfinished "
-                f"({', '.join(unfinished) or 'runtime only'})",
-                sim_time=cluster.env._now)
-    else:
-        cluster.run()
-    for p in procs:
-        if not p.triggered:
-            message = f"deadlock: rank process {p.name} never completed"
+    # Window registrations belong to this launch (dcuda_win_create /
+    # dcuda_win_free, §II-C): release them on every exit, after the event
+    # loop has drained, so no simulated timestamp can move.
+    try:
+        runtime.start()
+        args = kernel_args or {}
+        t0 = cluster.env._now
+        procs = []
+        for world_rank in range(runtime.total_ranks):
+            drank = DRank(runtime, world_rank)
+            procs.append(cluster.env.process(kernel(drank, **args),
+                                             name=f"kernel:r{world_rank}"))
+        if faults is not None and faults.cfg.watchdog > 0:
+            drained = cluster.env.run_watchdog(t0 + faults.cfg.watchdog)
+            if not drained:
+                unfinished = [p.name for p in procs if not p.triggered]
+                raise DCudaTimeoutError(
+                    f"watchdog: simulated time exceeded "
+                    f"{faults.cfg.watchdog:.3e}s with "
+                    f"{len(unfinished)} rank(s) unfinished "
+                    f"({', '.join(unfinished) or 'runtime only'})",
+                    sim_time=cluster.env._now)
+        else:
+            cluster.run()
+        for p in procs:
+            if not p.triggered:
+                message = f"deadlock: rank process {p.name} never completed"
+                if faults is not None:
+                    raise DCudaFaultError(message, sim_time=cluster.env._now)
+                raise RuntimeError(message)
+        problems = runtime.check_quiescent()
+        if problems:
+            message = ("runtime not quiescent after launch: "
+                       + "; ".join(problems))
             if faults is not None:
                 raise DCudaFaultError(message, sim_time=cluster.env._now)
             raise RuntimeError(message)
-    problems = runtime.check_quiescent()
-    if problems:
-        message = ("runtime not quiescent after launch: "
-                   + "; ".join(problems))
-        if faults is not None:
-            raise DCudaFaultError(message, sim_time=cluster.env._now)
-        raise RuntimeError(message)
-    return LaunchResult(elapsed=cluster.env._now - t0,
-                        results=[p.value for p in procs],
-                        runtime=runtime, tracer=cluster.tracer,
-                        log_records=runtime.log_records)
+        return LaunchResult(elapsed=cluster.env._now - t0,
+                            results=[p.value for p in procs],
+                            runtime=runtime, tracer=cluster.tracer,
+                            log_records=runtime.log_records)
+    finally:
+        for system in runtime.systems:
+            system.release_windows()

@@ -64,6 +64,7 @@ class FairShareLink:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self.env = env
         self.name = name
+        self._xfer_name = "xfer:" + name
         self.bandwidth = float(bandwidth)
         # Observability (duck-typed to keep sim free of upward imports):
         # an active-flow occupancy series plus a bytes counter, or None.
@@ -98,7 +99,7 @@ class FairShareLink:
             raise ValueError(f"negative transfer size {nbytes!r}")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight!r}")
-        ev = self.env.event(name=f"xfer:{self.name}")
+        ev = self.env.event(name=self._xfer_name)
         if nbytes <= _EPS_BYTES:
             ev.succeed()
             return ev

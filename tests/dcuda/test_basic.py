@@ -89,6 +89,45 @@ def test_overlapping_windows_zero_copy():
     np.testing.assert_array_equal(shared, np.arange(8))  # untouched
 
 
+def test_shared_memory_copies_only_unless_aliased():
+    """Disjoint and partly overlapping buffers are copied (and charged a
+    device copy); only the exact target range is the zero-copy case."""
+    shared = np.arange(16, dtype=np.float64)
+    got = np.zeros(3)
+    took = {}
+
+    def timed(rank, name, op):
+        t0 = rank.now
+        yield from op
+        took[name] = rank.now - t0
+
+    def kernel(rank):
+        win = yield from rank.win_create(shared)
+        if rank.world_rank == 0:
+            yield from timed(rank, "put aliased",
+                             rank.put(win, 1, 2, shared[2:10]))
+            yield from timed(rank, "put disjoint",
+                             rank.put(win, 1, 2, np.arange(2.0, 10.0)))
+            # Overlapping but shifted: a real (overlap-safe) copy.
+            yield from timed(rank, "put shifted",
+                             rank.put(win, 1, 12, shared[10:14]))
+            yield from timed(rank, "get aliased",
+                             rank.get(win, 1, 5, shared[5:8]))
+            yield from timed(rank, "get disjoint", rank.get(win, 1, 0, got))
+            yield from rank.flush(win)
+        yield from rank.barrier()
+        yield from rank.finish()
+
+    launch(Cluster(greina(1)), kernel, ranks_per_device=2)
+    expected = np.arange(16, dtype=np.float64)
+    expected[12:16] = [10.0, 11.0, 12.0, 13.0]
+    np.testing.assert_array_equal(shared, expected)
+    np.testing.assert_array_equal(got, [0.0, 1.0, 2.0])
+    assert took["put aliased"] < took["put disjoint"]
+    assert took["put aliased"] < took["put shifted"]
+    assert took["get aliased"] < took["get disjoint"]
+
+
 def test_get_notify_distributed():
     buffers = {0: np.zeros(4), 1: np.arange(4, dtype=np.float64) + 10.0}
     got = np.zeros(2)

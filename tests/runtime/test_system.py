@@ -114,10 +114,15 @@ def test_win_free_removes_registration():
     def kernel(rank):
         win = yield from rank.win_create(np.zeros(4))
         seen["gid"] = win.global_id
+        system = rank.runtime.system_of(rank.world_rank)
+        seen[rank.world_rank] = [win.global_id in system.windows]
         yield from rank.win_free(win)
+        # Freed mid-launch, not only by the end-of-launch release.
+        seen[rank.world_rank].append(win.global_id in system.windows)
         yield from rank.finish()
 
     res = launch(cluster, kernel, ranks_per_device=1)
+    assert seen[0] == seen[1] == [True, False]
     for system in res.runtime.systems:
         assert seen["gid"] not in system.windows
 

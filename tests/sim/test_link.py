@@ -18,6 +18,13 @@ def test_single_flow_takes_bytes_over_bandwidth():
     assert p.value == pytest.approx(5.0)
 
 
+def test_flow_events_are_named_after_the_link():
+    env = Environment()
+    link = FairShareLink(env, bandwidth=100.0, name="fabric.n0")
+    assert link.transfer(500.0).name == "xfer:fabric.n0"
+    assert link.transfer(0.0).name == "xfer:fabric.n0"
+
+
 def test_two_equal_flows_share_bandwidth():
     env = Environment()
     link = FairShareLink(env, bandwidth=100.0)
