@@ -188,7 +188,7 @@ class DRank:
         yield from self._assemble()
         yield from self.state.cmd_queue.enqueue(WinCreateCommand(
             origin_rank=self.world_rank, local_win_id=local_id,
-            comm_name=comm_name, buffer=buffer, participants=participants))
+            comm_name=comm_name, buffer=buffer))
         ack = yield from self._await_ack("win_create")
         return Window(local_id=local_id, global_id=ack.value,
                       comm_name=comm_name, owner_rank=self.world_rank,

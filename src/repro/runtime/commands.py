@@ -21,7 +21,7 @@ Cold control-plane entries stay dataclasses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Tuple
+from typing import Any
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class WinCreateCommand:
     local_win_id: int
     comm_name: str
     buffer: np.ndarray          # the rank's registered memory range
-    participants: Tuple[int, ...]
 
 
 @dataclass(slots=True)

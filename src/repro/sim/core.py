@@ -96,38 +96,30 @@ _DEFAULT_BUCKET_WIDTH = 1e-7
 #: years at the default width) the core degrades to the far heap alone,
 #: which is simply the classic single-heap scheduler.
 _SLOT_LIMIT = float(2 ** 52)
+_INF = float("inf")
 #: Sentinel for "no timed entry pending": compares greater than every real
 #: schedule entry (real priorities are 0–2, the sentinel's is 3), so the
 #: hot loops test ``entry < _NO_ENTRY`` / ``ne[0] > now`` without a
 #: ``None`` branch.  Identity (``is _NO_ENTRY``) is the emptiness test.
-_NO_ENTRY = (float("inf"), 3, 0, None)
+_NO_ENTRY = (_INF, 3, 0, None)
 
 
 class EnvStats:
     """Event-loop counters for the observability layer.
 
     Only attached via :meth:`Environment.enable_stats`; a bare environment
-    carries ``stats = None`` and its hot loop is byte-for-byte the
-    uninstrumented one (``run`` dispatches to the counting twin loop only
-    when stats are attached).  Counting is passive — the instrumented loop
-    pops, advances time, and dispatches in exactly the same order, so
-    attaching stats never moves a simulated timestamp.
+    carries ``stats = None`` and the event loop skips its one counting
+    block.  Counting is passive — the loop pops, advances time, and
+    dispatches in exactly the same order either way, so attaching stats
+    never moves a simulated timestamp.
     """
 
-    __slots__ = ("entries", "deferred_calls", "events", "callbacks",
-                 "time_advances", "max_queue_len")
+    __slots__ = ("entries", "max_queue_len")
 
     def __init__(self) -> None:
-        #: Queue entries processed (events + deferred calls).
+        #: Schedule entries popped (abandoned timers included), so a
+        #: drained run counts every entry it scheduled.
         self.entries = 0
-        #: Lightweight-lane deferred calls fired.
-        self.deferred_calls = 0
-        #: Full events processed (callback lists run).
-        self.events = 0
-        #: Individual callbacks invoked.
-        self.callbacks = 0
-        #: Entries that advanced the simulated clock.
-        self.time_advances = 0
         #: High-water mark of pending schedule entries (all three tiers).
         self.max_queue_len = 0
 
@@ -796,152 +788,80 @@ class Environment:
         else:
             self._push_timed(self._now + delay, priority, self._seq, event)
 
-    def _advance_clock(self, when: float) -> None:
-        """Advance the clock to *when*; slide the ring window forward and
-        migrate newly ring-eligible far-heap entries into their buckets."""
-        self._now = when
-        t = when * self._inv
-        if t < _SLOT_LIMIT:
-            ns = int(t)
-            if ns > self._slot:
-                self._slot = ns
-                limit = float(ns + _RING_SIZE)
-                self._ring_limit = limit
-                far = self._far
-                if far and far[0][0] * self._inv < limit:
-                    ring = self._ring
-                    inv = self._inv
-                    while far and far[0][0] * inv < limit:
-                        e = heappop(far)
-                        heappush(ring[int(e[0] * inv) & _RING_MASK], e)
-                        self._ring_count += 1
-
-    def _rescan(self) -> None:
-        """Recompute the cached minimum timed entry after a timed pop.
-
-        Ring entries all lie within one ring lap of the current slot, so
-        scanning slots upward from the clock's slot visits buckets in
-        time order and the first non-empty bucket's top is the ring
-        minimum; with the ring empty the far-heap top is the minimum.
-        """
-        if self._ring_count:
-            s = self._slot
-            ring = self._ring
-            while True:
-                b = ring[s & _RING_MASK]
-                if b:
-                    self._next_entry = b[0]
-                    self._next_src = b
-                    return
-                s += 1
-        far = self._far
-        if far:
-            self._next_entry = far[0]
-            self._next_src = far
-        else:
-            self._next_entry = _NO_ENTRY
-            self._next_src = None
-
-    def _pop_timed(self) -> Any:
-        """Pop the minimum timed entry; advance the clock; return its
-        payload object — or ``None`` when the entry was an abandoned timer
-        (dropped without advancing the clock, so a dangling timeout cannot
-        stretch the simulated run)."""
-        entry = self._next_entry
-        src = self._next_src
-        heappop(src)
-        if src is not self._far:
-            self._ring_count -= 1
-        obj = entry[3]
-        if obj.__class__ is not _Deferred and obj.abandoned:
-            self._rescan()
-            return None
-        when = entry[0]
-        if when > self._now:
-            self._advance_clock(when)
-        self._rescan()
-        return obj
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         return self._now if self._due else self._next_entry[0]
 
     def step(self) -> None:
-        """Process exactly one schedule entry.
+        """Process exactly one live schedule entry.
 
         Abandoned timers (e.g. the losing arm of a bounded wait whose
         winner already resumed the process) are *not* entries: they are
         consumed and dropped without dispatching and without advancing the
-        clock — the same guard the batch loops apply — and the step
-        processes the next live entry instead.
+        clock, and the step processes the next live entry instead.  Raises
+        :class:`SimulationError` when no live entry remains, so
+        ``while True: step()`` drivers terminate; an unobserved process
+        failure propagates exactly as in :meth:`run`.
         """
-        if not self._due and self._next_entry is _NO_ENTRY:
+        if self._drain(_INF, True):
             raise SimulationError("step() on an empty schedule")
-        stats = self.stats
-        due = self._due
-        while due or self._next_entry is not _NO_ENTRY:
-            if stats is not None:
-                stats.entries += 1
-                pending = len(due) + self._ring_count + len(self._far)
-                if pending > stats.max_queue_len:
-                    stats.max_queue_len = pending
-            # Entry selection: due lane vs cached timed minimum, full
-            # (when, priority, seq) order (identical in all loops).
-            ne = self._next_entry
-            if due and (ne[0] > self._now or ne[1] > 1
-                        or (ne[1] == 1 and ne[2] > due[0][0])):
-                obj = due.popleft()[1]
-                if obj.__class__ is not _Deferred and obj.abandoned:
-                    continue
-            else:
-                before = self._now
-                obj = self._pop_timed()
-                if obj is None:
-                    continue
-                if stats is not None and self._now > before:
-                    stats.time_advances += 1
-            if obj.__class__ is _Deferred:
-                if stats is not None:
-                    stats.deferred_calls += 1
-                obj.fn(*obj.args)
-                self._dfree.append(obj)
-                return
-            callbacks = obj.callbacks
-            obj.callbacks = None
-            if stats is not None:
-                stats.events += 1
-                stats.callbacks += len(callbacks)
-            for callback in callbacks:
-                callback(obj)
-            return
-        # Every remaining entry was abandoned: the schedule is effectively
-        # empty, and a silent no-op would strand ``while True: step()``
-        # drivers.
-        raise SimulationError("step() on an empty schedule")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches *until*.
 
-        Unhandled process failures propagate out of :meth:`run` the moment
-        the failed process event is processed with no observer attached.
+        With *until* the clock is left at *until*, whether the queue
+        drained or the next live entry lies beyond it.  Unhandled process
+        failures propagate out of :meth:`run` the moment the failed
+        process event is processed with no observer attached.
         """
-        if self.stats is not None:
-            return self._run_counting(until)
-        if until is not None and until < self._now:
+        if until is None:
+            self._drain(_INF, False)
+            return
+        if until < self._now:
             raise ValueError(f"until={until!r} lies in the past")
-        # Hot loop: the pop/rescan/clock-advance machinery of _pop_timed is
-        # inlined (a Python-level call per entry would cost more than the
-        # heap work it wraps), stable containers and module globals are
-        # local aliases, the clock is mirrored in a local (write-through to
-        # ``_now`` so pushes from callbacks see it), and the due lane
-        # drains in a tight batch — the clock only moves on timed pops,
-        # i.e. once per distinct timestamp.
+        self._drain(until, False)
+        self._now = until
+
+    def run_watchdog(self, deadline: float) -> bool:
+        """Run like :meth:`run`, but stop *before* crossing ``deadline``.
+
+        Returns ``True`` when the queue drained (normal completion) and
+        ``False`` when the next live entry lies beyond the deadline — i.e.
+        the simulation would run past its simulated-time budget.  Unlike
+        ``run(until=deadline)`` the clock is left at the last processed
+        event, not advanced to the deadline, so callers can still report a
+        meaningful elapsed time for the work that did happen.  Unhandled
+        process failures propagate exactly as in :meth:`run`.
+        """
+        return self._drain(deadline, False)
+
+    def _drain(self, stop: float, once: bool) -> bool:
+        """The event loop behind :meth:`run`, :meth:`run_watchdog` and
+        :meth:`step`: dispatch entries in ``(when, priority, seq)`` order.
+
+        Returns ``True`` when the schedule has drained and ``False`` when
+        the next live entry lies beyond *stop* or, with *once*, right after
+        the first live dispatch.  An abandoned timer is dropped wherever it
+        sits — beyond *stop* too — without dispatch and without advancing
+        the clock, so a dangling timeout can neither stretch the simulated
+        run nor end it early.  With stats attached, every popped entry is
+        counted in the one ``stats`` block; nothing else differs.
+
+        Hot loop: the timed pop, clock advance and cached-minimum rescan
+        are inlined (a Python-level call per entry would cost more than
+        the heap work it wraps), stable containers and module globals are
+        local aliases, the clock is mirrored in a local (write-through to
+        ``_now`` so pushes from callbacks see it), and the due lane drains
+        without re-checking the clock — the clock only moves on timed
+        pops, i.e. once per distinct timestamp.
+        """
         due = self._due
         dfree = self._dfree
         ring = self._ring
         far = self._far
         inv = self._inv
         now = self._now
+        stats = self.stats
         no_entry = _NO_ENTRY
         deferred = _Deferred
         pop = heappop
@@ -956,35 +876,23 @@ class Environment:
             if due and (ne[0] > now or ne[1] > 1
                         or (ne[1] == 1 and ne[2] > due[0][0])):
                 event = due.popleft()[1]
-                if event.__class__ is deferred:
-                    event.fn(*event.args)
-                    dfree.append(event)
-                    continue
-                if event.abandoned:
-                    # An orphaned timer (abandoned after being scheduled):
-                    # dropped like its timed twin below.
-                    continue
             else:
                 if ne is no_entry:
-                    if until is not None:
-                        self._now = until
-                    return
+                    return True
                 when = ne[0]
-                if until is not None and when > until:
-                    self._now = until
-                    return
-                # -- inlined _pop_timed ----------------------------------
+                event = ne[3]
+                if when > stop and (event.__class__ is deferred
+                                    or not event.abandoned):
+                    return False
                 src = self._next_src
                 pop(src)
                 if src is not far:
                     self._ring_count -= 1
-                event = ne[3]
-                is_def = event.__class__ is deferred
-                if not is_def and event.abandoned:
-                    event = None  # dropped; no clock advance
-                elif when > now:
-                    # Inlined _advance_clock: slide the ring window and
-                    # migrate newly eligible far-heap entries.
+                if when > now and (event.__class__ is deferred
+                                   or not event.abandoned):
+                    # Advance the clock: slide the ring window and migrate
+                    # newly ring-eligible far-heap entries into their
+                    # buckets (each entry migrates at most once).
                     now = when
                     self._now = when
                     t = when * inv
@@ -998,11 +906,14 @@ class Environment:
                                 e = pop(far)
                                 push(ring[int(e[0] * inv) & _RING_MASK], e)
                                 self._ring_count += 1
-                # Inlined _rescan.  Fast path: a non-empty just-popped ring
-                # bucket still holds the timed minimum — every other ring
-                # entry lives in a strictly later slot (slot selection is
-                # monotone in time), and the far-heap top is beyond the
-                # ring horizon entirely.
+                # Recompute the cached minimum.  Fast path: a non-empty
+                # just-popped ring bucket still holds the timed minimum —
+                # every other ring entry lives in a strictly later slot
+                # (slot selection is monotone in time), and the far-heap
+                # top is beyond the ring horizon entirely.  Otherwise scan
+                # slots upward from the clock's slot: ring entries all lie
+                # within one lap of it, so the first non-empty bucket's
+                # top is the ring minimum.
                 if src and src is not far:
                     self._next_entry = src[0]
                 elif self._ring_count:
@@ -1020,142 +931,27 @@ class Environment:
                 else:
                     self._next_entry = no_entry
                     self._next_src = None
-                # --------------------------------------------------------
-                if event is None:
-                    continue
-                if is_def:
-                    event.fn(*event.args)
-                    dfree.append(event)
-                    continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if (not callbacks and event._exception is not None
-                    and isinstance(event, Process)):
-                raise event._exception
-
-    def run_watchdog(self, deadline: float) -> bool:
-        """Run like :meth:`run`, but stop *before* crossing ``deadline``.
-
-        Returns ``True`` when the queue drained (normal completion) and
-        ``False`` when the next event lies beyond the deadline — i.e. the
-        simulation would run past its simulated-time budget.  Unlike
-        ``run(until=deadline)`` the clock is left at the last processed
-        event, not advanced to the deadline, so callers can still report a
-        meaningful elapsed time for the work that did happen.  Unhandled
-        process failures propagate exactly as in :meth:`run`.
-        """
-        due = self._due
-        dfree = self._dfree
-        stats = self.stats
-        while True:
-            ne = self._next_entry
-            if due:
-                take_due = (ne[0] > self._now or ne[1] > 1
-                            or (ne[1] == 1 and ne[2] > due[0][0]))
-            elif ne is not _NO_ENTRY:
-                if ne[0] > deadline:
-                    head = ne[3]
-                    if head.__class__ is not _Deferred and head.abandoned:
-                        # An orphaned timer beyond the deadline is not
-                        # pending work — drop it instead of declaring a
-                        # timeout.
-                        self._pop_timed()
-                        continue
-                    return False
-                take_due = False
-            else:
-                return True
             if stats is not None:
                 stats.entries += 1
-                pending = len(due) + self._ring_count + len(self._far)
+                # +1: the entry just popped was still pending.
+                pending = len(due) + self._ring_count + len(far) + 1
                 if pending > stats.max_queue_len:
                     stats.max_queue_len = pending
-            if take_due:
-                event = due.popleft()[1]
-            else:
-                before = self._now
-                event = self._pop_timed()
-                if event is None:
-                    continue
-                if stats is not None and self._now > before:
-                    stats.time_advances += 1
-            if event.__class__ is _Deferred:
-                if stats is not None:
-                    stats.deferred_calls += 1
+            if event.__class__ is deferred:
                 event.fn(*event.args)
                 dfree.append(event)
+            elif event.abandoned:
                 continue
-            if event.abandoned:
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            if stats is not None:
-                stats.events += 1
-                stats.callbacks += len(callbacks)
-            for callback in callbacks:
-                callback(event)
-            if (not callbacks and event._exception is not None
-                    and isinstance(event, Process)):
-                raise event._exception
-
-    def _run_counting(self, until: Optional[float] = None) -> None:
-        """Twin of :meth:`run` that also bumps :class:`EnvStats` counters.
-
-        Pops, time advances, and callback dispatch happen in exactly the
-        same order as the uninstrumented loop — the counters are pure
-        observation, so the schedule (and every simulated timestamp) is
-        identical with stats attached.
-        """
-        due = self._due
-        dfree = self._dfree
-        stats = self.stats
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until!r} lies in the past")
-        while True:
-            ne = self._next_entry
-            if due:
-                take_due = (ne[0] > self._now or ne[1] > 1
-                            or (ne[1] == 1 and ne[2] > due[0][0]))
-            elif ne is not _NO_ENTRY:
-                if until is not None and ne[0] > until:
-                    self._now = until
-                    return
-                take_due = False
             else:
-                break
-            stats.entries += 1
-            pending = len(due) + self._ring_count + len(self._far)
-            if pending > stats.max_queue_len:
-                stats.max_queue_len = pending
-            if take_due:
-                event = due.popleft()[1]
-            else:
-                before = self._now
-                event = self._pop_timed()
-                if event is None:
-                    continue
-                if self._now > before:
-                    stats.time_advances += 1
-            if event.__class__ is _Deferred:
-                stats.deferred_calls += 1
-                event.fn(*event.args)
-                dfree.append(event)
-                continue
-            if event.abandoned:
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            stats.events += 1
-            stats.callbacks += len(callbacks)
-            for callback in callbacks:
-                callback(event)
-            if (not callbacks and event._exception is not None
-                    and isinstance(event, Process)):
-                raise event._exception
-        if until is not None:
-            self._now = until
+                callbacks = event.callbacks
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                else:
+                    for callback in callbacks:
+                        callback(event)
+                if (not callbacks and event._exception is not None
+                        and isinstance(event, Process)):
+                    raise event._exception
+            if once:
+                return False

@@ -348,6 +348,7 @@ def test_step_raises_when_only_abandoned_entries_remain():
     ev.abandoned = True
     with pytest.raises(SimulationError):
         env.step()
+    assert env.now == 0.0  # a dropped timer never advances the clock
 
 
 def test_step_and_run_agree_on_abandoned_heavy_schedule():
@@ -372,3 +373,55 @@ def test_step_and_run_agree_on_abandoned_heavy_schedule():
         except SimulationError:
             break
     assert fired_a == fired_b == [(0.0, 0), (0.5, 2), (1.0, 4)]
+
+
+def test_step_raises_unobserved_process_failure():
+    """step() raises an unobserved process failure exactly like run()."""
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(1.0)
+        raise ValueError("boom")
+
+    env.process(bad(env))
+    with pytest.raises(ValueError, match="boom"):
+        while env.peek() != float("inf"):
+            env.step()
+    assert env.now == 1.0
+
+
+def test_run_until_drops_abandoned_timer_beyond_until():
+    """An abandoned head beyond ``until`` is dropped, not left as the
+    next entry: peek() reports the next live entry, or inf."""
+    env = Environment()
+    fired = []
+    loser = env.timeout(5.0)
+    loser.add_callback(lambda e: fired.append("loser"))
+    loser.abandoned = True
+    live = env.timeout(7.0)
+    live.add_callback(lambda e: fired.append(env.now))
+    env.run(until=2.0)
+    assert env.now == 2.0
+    assert env.peek() == 7.0
+    live.abandoned = True
+    env.run(until=3.0)
+    assert env.now == 3.0
+    assert env.peek() == float("inf")
+    env.run()
+    assert fired == []
+    assert env.now == 3.0
+
+
+def test_stats_count_popped_entries_and_pending_high_water():
+    """Every popped entry counts, abandoned ones too, and the high-water
+    mark sees all pending entries across the due lane, ring and far heap."""
+    env = Environment()
+    stats = env.enable_stats()
+    env.timeout(0.0)
+    env.timeout(1e-6)
+    env.timeout(1.0).abandoned = True
+    env.timeout(500.0)
+    env.run()
+    assert stats.entries == env._seq == 4
+    assert stats.max_queue_len == 4
+    assert env.now == 500.0

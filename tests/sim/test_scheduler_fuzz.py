@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, SimulationError
 
 #: Delay palette: heavy same-timestamp collisions (0.0 and repeated
 #: sub-bucket values), values straddling bucket boundaries of the 1e-7
@@ -95,8 +95,17 @@ def _run_reference(roots) -> list:
     return log
 
 
-def _run_real(roots, stepped: bool = False) -> list:
-    """The same workload through the real bucketed Environment."""
+#: Every way to drive the event loop: ``run()``, repeated ``step()``,
+#: ``run()`` with stats attached, the watchdog, and ``run(until)`` slices.
+_MODES = ["run", "step", "stats", "watchdog", "slices"]
+#: Slice width for the ``slices`` mode: boundaries land exactly on the
+#: palette's 0.5 / 1.0 / 257.0 / 1000.0 timestamps and between the rest.
+_SLICE = 0.25
+
+
+def _run_real(roots, mode: str = "run") -> list:
+    """The same workload through the real bucketed Environment, driven
+    by *mode* (one of :data:`_MODES`)."""
     env = Environment()
     log = []
     seqs = {}
@@ -134,15 +143,25 @@ def _run_real(roots, stepped: bool = False) -> list:
 
     for r in roots:
         push(r)
-    if stepped:
-        from repro.sim.core import SimulationError
+    if mode == "run":
+        env.run()
+    elif mode == "step":
         while True:
             try:
                 env.step()
             except SimulationError:
                 break
-    else:
+    elif mode == "stats":
+        stats = env.enable_stats()
         env.run()
+        assert stats.entries == env._seq
+    elif mode == "watchdog":
+        assert env.run_watchdog(1e9) is True
+    else:
+        k = 0
+        while env.peek() != float("inf"):
+            k += 1
+            env.run(until=k * _SLICE)
     return log
 
 
@@ -153,11 +172,13 @@ def test_fuzz_dispatch_sequence_matches_heap_contract(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
-def test_fuzz_stepped_dispatch_matches_heap_contract(seed):
-    """Single-stepping must follow the identical contract — including
-    dropping abandoned timers instead of firing the losing wait arm."""
+@pytest.mark.parametrize("mode", _MODES)
+def test_fuzz_every_drive_mode_matches_heap_contract(mode, seed):
+    """Every way of driving the loop follows the identical contract —
+    including dropping abandoned timers instead of firing the losing
+    wait arm."""
     roots = _gen_workload(seed)
-    assert _run_real(roots, stepped=True) == _run_reference(roots)
+    assert _run_real(roots, mode) == _run_reference(roots)
 
 
 def test_fuzz_far_horizon_only():
